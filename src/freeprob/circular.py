@@ -4,8 +4,9 @@ The R-transform of |lam - c|^2 is 1/(1-z) + lam^2/(1-z)^2; with m = lam^2 - 1
 the K-transform K_m(z) = 1/z + 1/(1-z) + lam^2/(1-z)^2 = (1 + m z)/(z (1-z)^2)
 has critical points z-/z+ whose images s-/s+ are the support endpoints.  The
 Cauchy transform solves a cubic (Cardano / companion roots) with the branch
-fixed by z ~ 1/w at infinity and tracked by continuation; Stieltjes inversion
-with Richardson extrapolation yields the density.
+fixed by z ~ 1/w at infinity and tracked by continuation.  On the support the
+cubic's coefficients are real and G(t -/+ i0) is its one conjugate pair, so the
+density is the exact boundary value |Im z| / pi of that pair.
 
 Numerical note: the textbook form of s- loses all precision near lam = 1
 (two ~27-sized terms cancel to O((lam-1)^3)).  The algebraically equivalent
@@ -24,8 +25,6 @@ from . import cumulants as cu
 from . import measures as me
 from . import series as se
 from .ring import Poly
-
-DEFAULT_EPS_SCHEDULE = (1e-3, 1e-4, 1e-5)
 
 
 class PoleError(ValueError):
@@ -117,9 +116,18 @@ class CircularSpectrum:
 # ---------------------------------------------------------------------------
 
 
-def _cubic_roots(m: complex, w: complex) -> np.ndarray:
-    """Roots of z^3 - 2 z^2 + (1 - m/w) z - 1/w = 0."""
-    return np.roots([1.0, -2.0, 1.0 - m / w, -1.0 / w])
+def _cubic_roots(m: float, w) -> np.ndarray:
+    """Roots of z^3 - 2 z^2 + (1 - m/w) z - 1/w = 0 for scalar or array w.
+
+    Eigenvalues of the companion matrix np.roots builds, batched over w: a
+    scalar w gives shape (3,), n points give (n, 3).  The top row is formed
+    as np.roots forms it, so scalar results equal np.roots bit for bit.
+    """
+    top = np.stack(np.broadcast_arrays(2.0, -(1.0 - m / w), 1.0 / w), axis=-1)
+    companion = np.zeros(top.shape[:-1] + (3, 3), dtype=top.dtype)
+    companion[..., 0, :] = top
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    return np.linalg.eigvals(companion)
 
 
 def _nearest(roots: np.ndarray, target: complex) -> complex:
@@ -155,51 +163,27 @@ def cauchy_transform(w: complex, lam: float, steps: int = 48) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Stieltjes inversion
+# Density: boundary value of the cubic on the support
 # ---------------------------------------------------------------------------
 
 
-def _density_at(t: float, lam: float, eps_schedule) -> float:
-    """-(1/pi) lim Im G(t + i eps) by linear Richardson on the two smallest eps."""
-    eps_sorted = sorted(eps_schedule, reverse=True)
-    vals = [-cauchy_transform(complex(t, eps), lam).imag / math.pi for eps in eps_sorted]
-    if len(vals) == 1:
-        return vals[-1]
-    e1, e2 = eps_sorted[-2], eps_sorted[-1]
-    v1, v2 = vals[-2], vals[-1]
-    return (e1 * v2 - e2 * v1) / (e1 - e2)
-
-
-def density(
-    lam: float,
-    n_points: int = 512,
-    eps_schedule=DEFAULT_EPS_SCHEDULE,
-    clip_warn: float = 1e-8,
-) -> me.SpectralMeasure:
+def density(lam: float, n_points: int = 512) -> me.SpectralMeasure:
     """Spectral density of |lam - c|^2 on a Chebyshev grid inside (s-, s+).
 
-    Density values come from Stieltjes inversion with Richardson extrapolation
-    over the eps schedule; small negative undershoot is clipped at zero (a
-    warning triggers past ``clip_warn``).
+    For real t in (s-, s+) the cubic has real coefficients and exactly one
+    conjugate pair of roots, G(t - i0) and G(t + i0), so
+    rho(t) = -Im G(t + i0) / pi = max |Im z| / pi holds with no smoothing
+    parameter and is non-negative by construction.  All nodes are solved in
+    one batched eigenvalue call.
 
-    The schedule is relative to the inner support scale: near lam = 1 the
-    density develops structure at scale s- itself, and the extrapolation is
-    only unbiased for eps below that scale, so the schedule is multiplied by
-    min(1, s-) before use.  The same structure sets a grid requirement: the
-    inner lobe is resolved when n_points is at least a few times
-    sqrt((s+ - s-) / s-), which matters only for lam - 1 below ~0.05.
+    The inner support scale sets a grid requirement: near lam = 1 the density
+    develops structure at scale s- itself, and the inner lobe is resolved
+    when n_points is at least a few times sqrt((s+ - s-) / s-), which matters
+    only for lam - 1 below ~0.05.
     """
     spec = CircularSpectrum.at(lam)
-    scale = min(1.0, spec.s_minus)
-    schedule = tuple(eps * scale for eps in eps_schedule)
     grid, weights = me.chebyshev_grid(spec.s_minus, spec.s_plus, n_points)
-    values = np.array([_density_at(float(t), lam, schedule) for t in grid])
-    worst = float(values.min())
-    if worst < -clip_warn:
-        import warnings
-
-        warnings.warn(f"density undershoot {worst} below -{clip_warn}; clipping at 0")
-    values = np.maximum(values, 0.0)
+    values = np.abs(_cubic_roots(spec.m, grid).imag).max(axis=1) / math.pi
     return me.SpectralMeasure.from_density(grid, values, weights, "chebyshev-midpoint")
 
 

@@ -87,7 +87,7 @@ def cmd_moments(args) -> int:
     if "quadrature" in routes:
         if model.name != "circular":
             raise CliError("quadrature route needs the circular closed-form density")
-        meas = ci.density(float(lam), args.points, eps_schedule=(1e-4, 1e-5, 1e-6))
+        meas = ci.density(float(lam), args.points)
         table["quadrature"] = [
             meas.integrate(lambda t, j=j: t ** (-(j + 1.0))) for j in range(k + 1)
         ]

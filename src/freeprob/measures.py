@@ -84,6 +84,8 @@ def chebyshev_grid(lo: float, hi: float, n: int):
     """Midpoint Chebyshev nodes in (lo, hi) with the matching sin-weights."""
     if hi <= lo:
         raise ValueError("need lo < hi")
+    if n < 1:
+        raise ValueError(f"a grid needs at least 1 point, got {n} points")
     theta = (np.arange(n) + 0.5) * np.pi / n
     mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
     grid = mid - hw * np.cos(theta)

@@ -197,16 +197,16 @@ def enumerate_psd(k: int, bound: int = ENUMERATION_K_BOUND):
 
 
 @lru_cache(maxsize=None)
-def profile_table(k: int, bound: int = ENUMERATION_K_BOUND) -> dict[tuple[int, ...], int]:
+def profile_table(k: int) -> dict[tuple[int, ...], int]:
     """Profile -> diagram count over all of PSD_{k+1} (one enumeration pass)."""
     table: dict[tuple[int, ...], int] = {}
-    for diagram in enumerate_psd(k, bound):
+    for diagram in enumerate_psd(k):
         p = diagram.profile()
         table[p] = table.get(p, 0) + 1
     return table
 
 
-def profile_count(k: int, profile, bound: int = ENUMERATION_K_BOUND) -> int:
+def profile_count(k: int, profile) -> int:
     """Number of diagrams with s_1 2-gons, s_2 4-gons, ...; exact by enumeration.
 
     Short profiles are padded with zeros.
@@ -216,7 +216,7 @@ def profile_count(k: int, profile, bound: int = ENUMERATION_K_BOUND) -> int:
         if any(padded[k + 1:]):
             return 0
         padded = padded[: k + 1]
-    return profile_table(k, bound).get(padded, 0)
+    return profile_table(k).get(padded, 0)
 
 
 def count_quadrangulations(k: int, bound: int = QUADRANGULATION_K_BOUND) -> int:
@@ -386,7 +386,7 @@ X = Poly.var("x")  # stands for 1/(lam^2 - 1)
 Y = Poly.var("y")  # stands for 1/lam^2
 
 
-def moment_polynomial(k: int, alphas=None, bound: int = ENUMERATION_K_BOUND) -> Poly:
+def moment_polynomial(k: int, alphas=None) -> Poly:
     """The two-variable polynomial P_{k+1} with
     phi(|lam - a|^{-2(k+1)}) = P_{k+1}(1/(lam^2-1), 1/lam^2).
 
@@ -406,7 +406,7 @@ def moment_polynomial(k: int, alphas=None, bound: int = ENUMERATION_K_BOUND) -> 
         alphas = list(alphas)
         alpha_of = {ell: alphas[ell - 2] for ell in range(2, k + 2)}
     total = Poly()
-    for s, count in sorted(profile_table(k, bound).items()):
+    for s, count in sorted(profile_table(k).items()):
         term = Poly.const(count) * X ** s[0]
         term = term * Y ** ((k + 1) + sum(ell * s[ell - 1] for ell in range(2, k + 2)))
         for ell in range(2, k + 2):
@@ -416,14 +416,14 @@ def moment_polynomial(k: int, alphas=None, bound: int = ENUMERATION_K_BOUND) -> 
     return total
 
 
-def negative_moment_psd(model, lam, k: int, bound: int = ENUMERATION_K_BOUND):
+def negative_moment_psd(model, lam, k: int):
     """phi(|lam - a|^{-2(k+1)}) by evaluating the moment polynomial.
 
     Exact (Fraction) for rational lam, float for float lam.  Requires
     alpha_2..alpha_{k+1} from the model.
     """
     alphas = [model.alpha_at(ell) for ell in range(2, k + 2)]
-    poly = moment_polynomial(k, alphas, bound)
+    poly = moment_polynomial(k, alphas)
     if isinstance(lam, float):
         lam_sq = lam * lam
         return poly.subs({"x": 1.0 / (lam_sq - 1.0), "y": 1.0 / lam_sq})

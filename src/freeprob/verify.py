@@ -659,7 +659,7 @@ def _check_triple_route():
             via_psd = psd.negative_moment_psd(circ, lam, k)
             if via_psd != exact[k]:
                 return _record(False, 1.0, 0.0, f"exact routes differ at k={k}, lam={lam}")
-        meas = ci.density(float(lam), 2048, eps_schedule=(1e-4, 1e-5, 1e-6))
+        meas = ci.density(float(lam), 2048)
         for k in range(0, 4):
             quad = meas.integrate(lambda t: t ** (-(k + 1.0)))
             rel = abs(quad - float(exact[k])) / float(exact[k])

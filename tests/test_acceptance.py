@@ -134,7 +134,7 @@ def test_criterion_6_triple_route(circular_model):
         exact = se.negative_moments_lagrange(circular_model, 3, lam=lam)
         for k in range(0, 4):
             ok &= psd.negative_moment_psd(circular_model, lam, k) == exact[k]
-        meas = ci.density(float(lam), 2048, eps_schedule=(1e-4, 1e-5, 1e-6))
+        meas = ci.density(float(lam), 2048)
         for k in range(0, 4):
             quad = meas.integrate(lambda t: t ** (-(k + 1.0)))
             worst_quad = max(worst_quad, abs(quad - float(exact[k])) / float(exact[k]))

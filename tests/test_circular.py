@@ -170,6 +170,26 @@ class TestDensity:
         assert meas.total_mass() == pytest.approx(1.0, abs=1e-6)
         assert meas.moment(1) == pytest.approx(lam * lam + 1, rel=1e-6)
 
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0, 10.0])
+    def test_quadrature_error_stated(self, lam):
+        # route 3's stated error: away from lam = 1 the boundary-value density
+        # on 512 Chebyshev nodes integrates mass and mean to 1e-12
+        meas = ci.density(lam, 512)
+        assert abs(meas.total_mass() - 1.0) <= 1e-12
+        assert abs(meas.moment(1) / (lam * lam + 1) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 10.0])
+    def test_matches_continuation_just_above_axis(self, lam):
+        # independent oracle: the continued Cauchy transform a distance
+        # eps = 1e-8 min(1, s-) above the support, where Im G is within O(eps)
+        # of its boundary value
+        meas = ci.density(lam, 64)
+        eps = 1e-8 * min(1.0, ci.support_endpoints(lam)[0])
+        for i in (6, 19, 32, 45, 58):
+            t = float(meas.grid[i])
+            oracle = -ci.cauchy_transform(complex(t, eps), lam).imag / math.pi
+            assert meas.density[i] == pytest.approx(oracle, rel=1e-6)
+
 
 class TestPushforward:
     def test_point_mass(self):

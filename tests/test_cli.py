@@ -55,6 +55,12 @@ class TestDensityCommand:
         assert code == 2
         assert "lambda" in err
 
+    def test_zero_points_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "density", "--lambda", "2", "--points", "0")
+        assert code == 2
+        assert "points" in err
+        assert out == ""
+
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, "density", "--lambda", "1.5", "--points", "128", "--out", str(a))
@@ -103,6 +109,14 @@ class TestMomentsCommand:
             "--route", "quadrature",
         )
         assert code == 2
+
+    def test_quadrature_zero_points_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "moments", "--lambda", "2", "--route", "quadrature", "--points", "0",
+        )
+        assert code == 2
+        assert "points" in err
+        assert out == ""
 
 
 class TestNormCommand:

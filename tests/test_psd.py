@@ -132,6 +132,14 @@ class TestProfileCounts:
             assert max(p[0] for p in psd.profile_table(k)) == 3 * k + 1
             assert psd.profile_count(k, (3 * k + 2,)) == 0
 
+    def test_table_cached_once_per_k(self):
+        # every caller reaches the same lru_cache key, so each k misses once
+        psd.profile_table.cache_clear()
+        psd.profile_table(2)
+        psd.profile_count(2, (7, 0))
+        psd.moment_polynomial(2)
+        assert psd.profile_table.cache_info().misses == 1
+
 
 class TestQuadrangulations:
     def test_counts(self):
