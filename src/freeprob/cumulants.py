@@ -250,19 +250,22 @@ class OperatorModel:
             raise OrderCapError(f"kappa_{two_n}(mu) not supplied")
         return self.mu_even_cumulants[idx]
 
-    def aa_star_moment(self, n: int) -> Fraction:
-        """phi((a a*)^n) from the determining cumulants."""
-        return rdiag_moment(self, nc.AlternationPattern.of((1, 1) * n))
+    def aa_star_moments(self) -> list[Fraction]:
+        """phi((a a*)^n) for n = 1..order.
 
-    def check_measure_consistency(self, depth: int | None = None, tol: float = 1e-6):
+        The free cumulants of a a* are the moment-type sums of alpha over
+        NC(n) (Nica-Speicher, Lecture 15), so the moment map applies twice.
+        """
+        return free_moments_from_cumulants(free_moments_from_cumulants(self.alpha))
+
+    def check_measure_consistency(self):
         """Moments of the attached a a* measure must match the alpha route."""
         if self.aa_star_measure is None:
             return
-        depth = depth if depth is not None else self.order
-        for n in range(1, depth + 1):
-            combinatorial = float(self.aa_star_moment(n))
+        for n, exact in enumerate(self.aa_star_moments(), start=1):
+            combinatorial = float(exact)
             measured = self.aa_star_measure.moment(n)
-            if abs(measured - combinatorial) > tol * max(1.0, abs(combinatorial)):
+            if abs(measured - combinatorial) > 1e-6 * max(1.0, abs(combinatorial)):
                 raise ValueError(
                     f"{self.name}: phi((aa*)^{n}) mismatch "
                     f"measure={measured!r} cumulants={combinatorial!r}"
@@ -274,6 +277,8 @@ def rdiag_moment(model: OperatorModel, pat: nc.AlternationPattern):
     non-crossing partitions of products of determining cumulants.
 
     Zero when the pattern is unbalanced; the empty pattern gives phi(1) = 1.
+    An enumeration oracle for ``verify`` and the tests; models are built and
+    loaded through ``OperatorModel.aa_star_moments``.
     """
     if not pat.is_balanced():
         return Fraction(0)
@@ -292,26 +297,9 @@ def rdiag_moment(model: OperatorModel, pat: nc.AlternationPattern):
 
 
 def alpha_from_aa_star_moments(moments: Sequence[Fraction]) -> list[Fraction]:
-    """Invert phi((a a*)^n) = sum over alternating NC of alpha products.
-
-    Triangular: the full 2n-block contributes alpha_n once; everything else
-    uses lower alphas.
-    """
-    alphas: list[Fraction] = []
-    for n, target in enumerate(Fraction(m) for m in moments):
-        n += 1
-        pat = nc.AlternationPattern.of((1, 1) * n)
-        partial = Fraction(0)
-        for part in nc.enumerate_alternating(pat):
-            sizes = part.block_sizes()
-            if sizes == [2 * n]:
-                continue  # the alpha_n term we are solving for
-            prod = Fraction(1)
-            for size in sizes:
-                prod *= alphas[size // 2 - 1]
-            partial += prod
-        alphas.append(target - partial)
-    return alphas
+    """Determining cumulants from phi((a a*)^n): the free cumulants of the
+    free cumulants of a a*.  Inverts OperatorModel.aa_star_moments exactly."""
+    return cumulants_from_moments(cumulants_from_moments([Fraction(m) for m in moments]))
 
 
 # ---------------------------------------------------------------------------

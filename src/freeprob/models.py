@@ -48,28 +48,24 @@ def circular_model(order: int = DEFAULT_MODEL_ORDER, measure_points: int = 4096)
     )
 
 
-def haar_model(order: int = DEFAULT_MODEL_ORDER) -> cu.OperatorModel:
-    aa_moments = [Fraction(1)] * order
-    alpha = cu.alpha_from_aa_star_moments(aa_moments)
-    mu = _mu_cumulants_from_aa_star_moments(aa_moments, order)
+def _atomic_model(name: str, atoms, order: int) -> cu.OperatorModel:
+    """Model whose a a* law has the given exact (x, weight) atoms."""
+    aa_moments = [sum(w * x**n for x, w in atoms) for n in range(1, order + 1)]
     return cu.OperatorModel(
-        name="haar",
-        alpha=tuple(alpha),
-        mu_even_cumulants=tuple(mu),
-        aa_star_measure=me.SpectralMeasure.from_atoms([(1.0, 1.0)]),
+        name=name,
+        alpha=tuple(cu.alpha_from_aa_star_moments(aa_moments)),
+        mu_even_cumulants=tuple(_mu_cumulants_from_aa_star_moments(aa_moments, order)),
+        aa_star_measure=me.SpectralMeasure.from_atoms([(float(x), float(w)) for x, w in atoms]),
     )
+
+
+def haar_model(order: int = DEFAULT_MODEL_ORDER) -> cu.OperatorModel:
+    return _atomic_model("haar", [(Fraction(1), Fraction(1))], order)
 
 
 def two_atom_model(order: int = DEFAULT_MODEL_ORDER) -> cu.OperatorModel:
-    aa_moments = [Fraction(2) ** (n - 1) for n in range(1, order + 1)]
-    alpha = cu.alpha_from_aa_star_moments(aa_moments)
-    mu = _mu_cumulants_from_aa_star_moments(aa_moments, order)
-    return cu.OperatorModel(
-        name="two-atom",
-        alpha=tuple(alpha),
-        mu_even_cumulants=tuple(mu),
-        aa_star_measure=me.SpectralMeasure.from_atoms([(0.0, 0.5), (2.0, 0.5)]),
-    )
+    half = Fraction(1, 2)
+    return _atomic_model("two-atom", [(Fraction(0), half), (Fraction(2), half)], order)
 
 
 _BUILDERS = {"circular": circular_model, "haar": haar_model, "two-atom": two_atom_model}
@@ -125,6 +121,15 @@ def model_from_spec(spec: dict) -> cu.OperatorModel:
     model = cu.OperatorModel(
         name=name, alpha=alpha, mu_even_cumulants=mu, aa_star_measure=measure
     )
+    if mu is not None:
+        if len(mu) > len(alpha):
+            raise ValueError(f"{name}: {len(mu)} modulus cumulants exceed the {len(alpha)} alphas")
+        derived = _mu_cumulants_from_aa_star_moments(model.aa_star_moments(), len(mu))
+        if list(mu) != derived:
+            raise ValueError(
+                f"{name}: mu_even_cumulants {[str(k) for k in mu]} disagree with "
+                f"the values {[str(k) for k in derived]} that alpha fixes"
+            )
     model.check_measure_consistency()
     return model
 

@@ -110,6 +110,25 @@ class TestMomentsCommand:
         )
         assert code == 2
 
+    def test_quadrature_route_ignores_model_name(self, tmp_path, capsys):
+        path = tmp_path / "named-circular.json"
+        path.write_text(json.dumps(
+            {"name": "circular", "alpha": ["1", "1"], "mu_even_cumulants": ["1", "1"]}
+        ))
+        code, out, err = run_cli(
+            capsys, "moments", "--model", str(path), "--lambda", "2", "--k", "1",
+            "--route", "quadrature",
+        )
+        assert code == 2
+        assert "quadrature" in err and out == ""
+
+    def test_all_routes_without_closed_form_density(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", "--model", "two-atom", "--lambda", "3/2")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].split("\t")[2:] == ["lagrange", "psd", "asymptotic"]
+        assert lines[-1] == "exact-route discrepancy: 0"
+
     def test_quadrature_zero_points_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "moments", "--lambda", "2", "--route", "quadrature", "--points", "0",

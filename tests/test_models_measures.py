@@ -71,6 +71,33 @@ class TestBuiltinModels:
         assert two_atom_model.mu_even_cumulants[:4] == (1, 0, -1, 2)
         assert two_atom_model.aa_star_measure.moment(1) == 1.0
 
+    def test_built_and_loaded_without_enumeration(self, monkeypatch):
+        from freeprob import cumulants as cu
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("alternating-partition enumeration on a build path")
+
+        monkeypatch.setattr(nc, "enumerate_alternating", refuse)
+        monkeypatch.setattr(cu, "rdiag_moment", refuse)
+        haar_alpha = (1, -1, 2, -5, 14, -42, 132, -429)
+        two_atom_alpha = (1, 0, -1, 2, -1, -6, 20, -22)
+        haar, two_atom = models.haar_model(), models.two_atom_model()
+        assert haar.alpha == haar.mu_even_cumulants == haar_alpha
+        assert two_atom.alpha == two_atom.mu_even_cumulants == two_atom_alpha
+        loaded = models.model_from_spec({
+            "name": "two-atom-json",
+            "alpha": [str(a) for a in two_atom_alpha],
+            "mu_even_cumulants": [str(a) for a in two_atom_alpha],
+            "aa_star_measure": {"atoms": [{"x": 0.0, "w": 0.5}, {"x": 2.0, "w": 0.5}]},
+        })
+        assert loaded.alpha == two_atom_alpha
+        with pytest.raises(ValueError, match="mismatch"):
+            models.model_from_spec({
+                "name": "shifted",
+                "alpha": [str(a) for a in two_atom_alpha],
+                "aa_star_measure": {"atoms": [{"x": 0.0, "w": 0.5}, {"x": 2.5, "w": 0.5}]},
+            })
+
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):
             models.builtin_model("bogus")
@@ -107,6 +134,19 @@ class TestModelSpecJson:
         }
         with pytest.raises(ValueError, match="mismatch"):
             models.model_from_spec(spec)
+
+    def test_mu_cumulants_checked_against_alpha(self, tmp_path, capsys):
+        from freeprob import cli
+
+        wrong = {"name": "wrong-k6", "alpha": ["1", "0", "-1"], "mu_even_cumulants": ["1", "0", "5"]}
+        too_long = {"name": "long-mu", "alpha": ["1", "0"], "mu_even_cumulants": ["1", "0", "-1"]}
+        for spec in (wrong, too_long):
+            with pytest.raises(ValueError, match=spec["name"]):
+                models.model_from_spec(spec)
+        path = tmp_path / "wrong.json"
+        path.write_text(json.dumps(wrong))
+        assert cli.main(["moments", "--model", str(path), "--lambda", "2", "--route", "lagrange"]) == 2
+        assert "wrong-k6" in capsys.readouterr().err
 
     def test_bad_rational_rejected(self):
         with pytest.raises(ValueError):

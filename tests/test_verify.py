@@ -6,16 +6,15 @@ from freeprob import verify
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
-def test_each_suite_passes(suite):
-    report = verify.run_suite(suite)
-    failed = [c for c in report["checks"] if not c["passed"]]
-    assert not failed, failed
+def test_each_suite_passes(suite, verify_report):
+    checks = [c for c in verify_report["checks"] if c["suite"] == suite]
+    failed = [c for c in checks if not c["passed"]]
+    assert checks and not failed, failed
 
 
-def test_all_runs_everything():
-    report = verify.run_suite("all")
-    assert report["total"] == len(verify._REGISTRY)
-    assert {c["suite"] for c in report["checks"]} == set(verify.SUITES)
+def test_all_runs_everything(verify_report):
+    assert verify_report["total"] == len(verify._REGISTRY)
+    assert {c["suite"] for c in verify_report["checks"]} == set(verify.SUITES)
 
 
 def test_unknown_suite_rejected():
@@ -30,6 +29,8 @@ def test_crashing_check_reports_failure(monkeypatch):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(freeprob.psd, "count_quadrangulations", boom)
+    check = next(c for c in verify._REGISTRY if c.name == "psd-quadrangulation-counts")
+    monkeypatch.setattr(verify, "_REGISTRY", [check])
     report = verify.run_suite("combinatorial")
     bad = [c for c in report["checks"] if c["name"] == "psd-quadrangulation-counts"]
     assert bad and not bad[0]["passed"]
