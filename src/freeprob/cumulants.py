@@ -10,7 +10,9 @@ Scalars are exact: Fractions, or ring.Poly for symbolic identities.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -202,28 +204,32 @@ def product_cumulant(groups: nc.IntervalPartition, cf: CumulantFunctional, word:
 class OperatorModel:
     """An R-diagonal operator described by its determining cumulants.
 
-    alpha[l-1] holds the order-2l alternating cumulant of the operator; the
-    normalization fixes alpha_1 = 1.  Optionally carries the even free
-    cumulants of the symmetrized modulus and a spectral measure for a a*.
+    alpha[l-1] holds the order-2l alternating cumulant alpha_l of the
+    operator; the normalization fixes alpha_1 = 1.  Optionally carries a
+    spectral measure for a a*.
+
+    alpha is also the even free-cumulant sequence of mu, the symmetrization
+    of |a|: kappa_{2n}(mu) = alpha_n (Nica-Speicher, Lecture 15;
+    Haagerup-Larsen 2000).  mu is symmetric, so its odd cumulants vanish and
+    phi((a a*)^n) = m_{2n}(mu) is the sum over the non-crossing partitions
+    of [2n] with only even blocks of the products of kappa_{|V|}(mu).  In
+    such a partition every block alternates a / a* (the gap between two
+    consecutive elements of a block is a union of even blocks), so the
+    moment is also the same sum with alpha_{|V|/2} as weights.  The
+    one-block partition is the top term of both sums, and induction on n
+    gives equality.  So R_mu has the coefficients alpha, and no second copy
+    is stored.
     """
 
     name: str
     alpha: tuple[Fraction, ...]
-    mu_even_cumulants: tuple[Fraction, ...] | None = None
     aa_star_measure: object | None = None
-    r_mu_closed_form: bool = False  # True when R_mu(z) = z exactly (semicircle)
+    r_mu_closed_form: bool = False  # alpha is zero past its stored order: R_mu(z) = z
 
     def __post_init__(self):
         self.alpha = tuple(Fraction(a) for a in self.alpha)
         if not self.alpha or self.alpha[0] != 1:
             raise ValueError("normalization requires alpha_1 = 1")
-        if self.mu_even_cumulants is not None:
-            self.mu_even_cumulants = tuple(Fraction(k) for k in self.mu_even_cumulants)
-            if self.mu_even_cumulants[0] != 1:
-                raise ValueError("normalization requires kappa_2(mu) = 1")
-            if len(self.alpha) >= 2 and len(self.mu_even_cumulants) >= 2:
-                if self.mu_even_cumulants[1] != self.alpha[1]:
-                    raise ValueError("kappa_4(mu) must equal alpha_2 (both are v - 1)")
 
     @property
     def order(self) -> int:
@@ -236,19 +242,19 @@ class OperatorModel:
             raise ValueError("model supplies no alpha_2")
         return self.alpha[1] + 1
 
+    @cached_property
+    def r_mu_floats(self) -> tuple[float, ...]:
+        """alpha as floats, trailing zeros dropped: the coefficients of
+        R_mu(z) = sum alpha_n z^{2n-1} for the floating-point routes."""
+        floats = [float(a) for a in self.alpha]
+        while floats[-1] == 0.0:
+            floats.pop()
+        return tuple(floats)
+
     def alpha_at(self, ell: int) -> Fraction:
         if ell < 1 or ell > len(self.alpha):
             raise OrderCapError(f"alpha_{ell} not supplied (order {len(self.alpha)})")
         return self.alpha[ell - 1]
-
-    def mu_cumulant(self, two_n: int) -> Fraction:
-        """kappa_{2n} of the symmetrized modulus."""
-        if self.mu_even_cumulants is None:
-            raise ValueError("model supplies no modulus cumulants")
-        idx = two_n // 2 - 1
-        if two_n % 2 or idx < 0 or idx >= len(self.mu_even_cumulants):
-            raise OrderCapError(f"kappa_{two_n}(mu) not supplied")
-        return self.mu_even_cumulants[idx]
 
     def aa_star_moments(self) -> list[Fraction]:
         """phi((a a*)^n) for n = 1..order.
@@ -327,23 +333,12 @@ def circular_shift_cumulants(max_n: int, bound: int = nc.ENUMERATION_BOUND) -> l
     expanded c / c* word.  The known closed form is 1 + n lam^2 for n >= 2 and
     1 + lam^2 for n = 1; tests assert this, the function does not.
     """
-    cf = CumulantFunctional.circular(max_order=2 * max_n)
-    word1, word2 = _shift_letters()
     out: list[Poly] = []
     for n in range(1, max_n + 1):
-        total = Poly()
-        for bits in range(2**n):
-            string = [(bits >> i) & 1 for i in range(n)]
-            word: list = []
-            sizes: list[int] = []
-            for b in string:
-                part = word2 if b else word1
-                word.extend(part)
-                sizes.append(len(part))
-            if len(word) > bound:
-                raise nc.EnumerationBoundError("expansion exceeds enumeration bound")
-            val = product_cumulant(nc.IntervalPartition.of(sizes), cf, word)
-            total = total + Poly.coerce(val)
+        total = sum(
+            (shift_string_cumulant(string, bound) for string in itertools.product((1, 2), repeat=n)),
+            Poly(),
+        )
         if n == 1:
             total = total + LAM * LAM  # the constant shift only moves the mean
         out.append(total)

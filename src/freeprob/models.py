@@ -23,26 +23,11 @@ DEFAULT_MODEL_ORDER = 8
 BUILTIN_NAMES = ("circular", "haar", "two-atom")
 
 
-def _mu_cumulants_from_aa_star_moments(aa_moments: list[Fraction], count: int) -> list[Fraction]:
-    """Even cumulants of the symmetrized modulus from phi((a a*)^n).
-
-    The symmetrization has vanishing odd moments and m_{2n} = phi((a a*)^n),
-    so the even cumulants drop out of the ordinary triangular solve.
-    """
-    interleaved: list[Fraction] = []
-    for n in range(1, count + 1):
-        interleaved.extend([Fraction(0), Fraction(aa_moments[n - 1])])
-    kappas = cu.cumulants_from_moments(interleaved)
-    return [kappas[2 * n - 1] for n in range(1, count + 1)]
-
-
 def circular_model(order: int = DEFAULT_MODEL_ORDER, measure_points: int = 4096) -> cu.OperatorModel:
-    alpha = [Fraction(1)] + [Fraction(0)] * (order - 1)
-    mu = [Fraction(1)] + [Fraction(0)] * (order - 1)  # semicircle: kappa_2 only
+    alpha = [Fraction(1)] + [Fraction(0)] * (order - 1)  # semicircular modulus
     return cu.OperatorModel(
         name="circular",
         alpha=tuple(alpha),
-        mu_even_cumulants=tuple(mu),
         aa_star_measure=me.free_poisson(measure_points),
         r_mu_closed_form=True,
     )
@@ -54,7 +39,6 @@ def _atomic_model(name: str, atoms, order: int) -> cu.OperatorModel:
     return cu.OperatorModel(
         name=name,
         alpha=tuple(cu.alpha_from_aa_star_moments(aa_moments)),
-        mu_even_cumulants=tuple(_mu_cumulants_from_aa_star_moments(aa_moments, order)),
         aa_star_measure=me.SpectralMeasure.from_atoms([(float(x), float(w)) for x, w in atoms]),
     )
 
@@ -95,6 +79,9 @@ def model_from_spec(spec: dict) -> cu.OperatorModel:
              {"atoms": [{"x": float, "w": float}, ...],
               "density_grid": optional {"t": [...], "rho": [...],
                                         "weights": [...]}}}.
+
+    ``mu_even_cumulants`` restates alpha (kappa_2n(mu) = alpha_n, see
+    OperatorModel); it must equal a prefix of ``alpha`` and is not stored.
     """
     if "builtin" in spec:
         return builtin_model(spec["builtin"])
@@ -118,17 +105,14 @@ def model_from_spec(spec: dict) -> cu.OperatorModel:
             ).require_probability()
         else:
             measure = me.SpectralMeasure.from_atoms(atoms).require_probability()
-    model = cu.OperatorModel(
-        name=name, alpha=alpha, mu_even_cumulants=mu, aa_star_measure=measure
-    )
+    model = cu.OperatorModel(name=name, alpha=alpha, aa_star_measure=measure)
     if mu is not None:
         if len(mu) > len(alpha):
             raise ValueError(f"{name}: {len(mu)} modulus cumulants exceed the {len(alpha)} alphas")
-        derived = _mu_cumulants_from_aa_star_moments(model.aa_star_moments(), len(mu))
-        if list(mu) != derived:
+        if mu != alpha[: len(mu)]:
             raise ValueError(
                 f"{name}: mu_even_cumulants {[str(k) for k in mu]} disagree with "
-                f"the values {[str(k) for k in derived]} that alpha fixes"
+                f"alpha {[str(a) for a in alpha[: len(mu)]]} (kappa_2n(mu) = alpha_n)"
             )
     model.check_measure_consistency()
     return model

@@ -136,21 +136,14 @@ def _sqrt_term_derivative(z: float, lam_sq: float) -> float:
     return -q / (1.0 + u) / (2.0 * z * z * u)
 
 
-def _mu_kappas_float(model) -> list[float]:
-    if model.r_mu_closed_form:
-        return [1.0]
-    if model.mu_even_cumulants is None:
-        raise ValueError("model supplies no modulus cumulants")
-    return [float(k) for k in model.mu_even_cumulants]
-
-
 def inverse_cauchy_value(model, lam: float, z: float) -> float:
     """B(z) = R_mu(z) + (1 - sqrt(1 + 4 lam^2 z^2))/(2z) at real z.
 
-    R_mu is exact for the circular model (identity series) and a truncated
-    polynomial otherwise; the square-root part is closed form either way.
+    R_mu is the odd polynomial with coefficients alpha: exact for the circular
+    model (alpha's tail is zero, so R_mu(z) = z) and truncated otherwise; the
+    square-root part is closed form either way.
     """
-    kappas = _mu_kappas_float(model)
+    kappas = model.r_mu_floats
     acc = 0.0
     for kap in reversed(kappas):
         acc = acc * z * z + kap
@@ -158,7 +151,7 @@ def inverse_cauchy_value(model, lam: float, z: float) -> float:
 
 
 def inverse_cauchy_derivative(model, lam: float, z: float) -> float:
-    kappas = _mu_kappas_float(model)
+    kappas = model.r_mu_floats
     d = 0.0
     for j in range(len(kappas), 0, -1):
         d = d * z * z + (2 * j - 1) * kappas[j - 1]

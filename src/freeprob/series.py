@@ -284,10 +284,11 @@ def invert_by_iteration(f: FormalSeries) -> FormalSeries:
 LAM_SQ = Poly.var("L")  # symbol for lam^2 in the symbolic pipeline
 
 
-def modulus_r_series(mu_even_cumulants: Sequence, order: int) -> FormalSeries:
-    """R-transform series of the symmetrized modulus: sum kappa_{2n} z^{2n-1}."""
+def modulus_r_series(mu_kappas: Sequence, order: int) -> FormalSeries:
+    """R-transform series of the symmetrized modulus: sum kappa_{2n} z^{2n-1},
+    with mu_kappas = kappa_2, kappa_4, ... (for a model, its alpha)."""
     coeffs = [0] * (order + 1)
-    for n, kap in enumerate(mu_even_cumulants, start=1):
+    for n, kap in enumerate(mu_kappas, start=1):
         if 2 * n - 1 <= order:
             coeffs[2 * n - 1] = kap
     return FormalSeries(coeffs, order, parity="odd")
@@ -307,7 +308,7 @@ def inverse_cauchy_series(r_mu: FormalSeries, lam_sq, order: int | None = None) 
     return trimmed + shift
 
 
-def rescaled_inverse_cauchy(mu_even_cumulants: Sequence, lam_sq, order: int) -> FormalSeries:
+def rescaled_inverse_cauchy(mu_kappas: Sequence, lam_sq, order: int) -> FormalSeries:
     """Unit-slope rescaling of the inverse-Cauchy series.
 
     With b_{2l-1} = kappa_{2l}(mu) + (-1)^l Catalan(l-1) lam^{2l} the rescaled
@@ -320,7 +321,7 @@ def rescaled_inverse_cauchy(mu_even_cumulants: Sequence, lam_sq, order: int) -> 
         coeffs[1] = Fraction(1) if not isinstance(m, float) else 1.0
     for j in range(1, (order - 1) // 2 + 1):
         ell = j + 1
-        kap = mu_even_cumulants[ell - 1] if ell - 1 < len(mu_even_cumulants) else 0
+        kap = mu_kappas[ell - 1] if ell - 1 < len(mu_kappas) else 0
         sign = -1 if ell % 2 else 1
         b = kap + sign * nc.catalan(ell - 1) * _coerce_scalar(lam_sq) ** ell
         coeffs[2 * j + 1] = -b * m ** (j - 1)
@@ -331,10 +332,10 @@ def negative_moments_lagrange(model, k: int, lam=None):
     """m_{-2}(mu_lam), ..., m_{-2k-2}(mu_lam) through Lagrange inversion.
 
     ``lam`` = None gives the symbolic answer: a list of RationalExpr in the
-    symbols L (= lam^2), v, k6, k8, ... as supplied by the model; a Fraction
+    symbols L (= lam^2), v, a3, a4, ... as supplied by the model; a Fraction
     gives exact rationals; a float gives floats.
 
-    Requires modulus cumulants through order 2k + 2.
+    Requires modulus cumulants kappa_2n(mu) = alpha_n through n = k + 1.
     """
     order = 2 * k + 3
     need = k + 1
@@ -359,21 +360,23 @@ def negative_moments_lagrange(model, k: int, lam=None):
 
 
 def _mu_cumulants_exact(model, count: int) -> list:
+    """kappa_2(mu) .. kappa_2count(mu), i.e. alpha_1 .. alpha_count."""
     if model.r_mu_closed_form:
         return [Fraction(1)] + [Fraction(0)] * (count - 1)
-    return [model.mu_cumulant(2 * n) for n in range(1, count + 1)]
+    return [model.alpha_at(n) for n in range(1, count + 1)]
 
 
 def _mu_cumulants_symbols(model, count: int) -> list:
-    """kappa_2 = 1, kappa_4 = v - 1, higher ones named k6, k8, ... when the
-    model supplies them (their exact values substitute at evaluation time)."""
+    """kappa_2 = 1, kappa_4 = v - 1, higher ones kappa_2n(mu) = alpha_n named
+    a3, a4, ... when the model supplies them (their exact values substitute at
+    evaluation time)."""
     out: list = [Fraction(1)]
     if count >= 2:
         out.append(Poly.var("v") - 1)
     for n in range(3, count + 1):
         if not model.r_mu_closed_form:
-            model.mu_cumulant(2 * n)  # raises if unavailable
-        out.append(Poly.var(f"k{2 * n}"))
+            model.alpha_at(n)  # raises if unavailable
+        out.append(Poly.var(f"a{n}"))
     return out
 
 
@@ -381,9 +384,8 @@ def symbolic_model_assignment(model, lam) -> dict:
     """Assignment dict evaluating the symbolic negative moments for a model."""
     assignment = {"L": Fraction(lam) ** 2 if not isinstance(lam, float) else lam * lam,
                   "v": model.v}
-    if model.mu_even_cumulants is not None:
-        for n in range(3, len(model.mu_even_cumulants) + 1):
-            assignment[f"k{2 * n}"] = model.mu_cumulant(2 * n)
+    for n in range(3, model.order + 1):
+        assignment[f"a{n}"] = model.alpha_at(n)
     return assignment
 
 

@@ -226,12 +226,6 @@ class TestPushforward:
 
 
 class TestRTransformIdentity:
-    def test_report_ok(self):
-        report = ci.verify_circular_r_transform(8)
-        assert report["ok"]
-        assert report["mismatches"] == []
-        assert report["free_poisson_at_lam0"]
-
     def test_analytic_coefficients(self):
         ks = ci.shift_r_transform_coefficients(4)
         assert ks[0] == 1 + LAM**2  # z^0 coefficient of the R-transform

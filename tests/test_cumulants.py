@@ -139,20 +139,6 @@ class TestOperatorModel:
         with pytest.raises(ValueError):
             cu.OperatorModel(name="bad", alpha=(Fraction(2),))
 
-    def test_mu_kappa2_enforced(self):
-        with pytest.raises(ValueError):
-            cu.OperatorModel(
-                name="bad", alpha=(Fraction(1),), mu_even_cumulants=(Fraction(2),)
-            )
-
-    def test_kappa4_alpha2_link_enforced(self):
-        with pytest.raises(ValueError):
-            cu.OperatorModel(
-                name="bad",
-                alpha=(Fraction(1), Fraction(0)),
-                mu_even_cumulants=(Fraction(1), Fraction(3)),
-            )
-
     def test_v_values(self, circular_model, haar_model, two_atom_model):
         assert circular_model.v == 1
         assert haar_model.v == 0
@@ -169,7 +155,6 @@ class TestOperatorModel:
         broken = cu.OperatorModel(
             name="broken",
             alpha=two_atom_model.alpha,
-            mu_even_cumulants=two_atom_model.mu_even_cumulants,
             aa_star_measure=me.SpectralMeasure.from_atoms([(0.0, 0.5), (2.5, 0.5)]),
         )
         with pytest.raises(ValueError, match="mismatch"):
@@ -192,3 +177,6 @@ class TestOperatorModel:
             for n in range(1, len(alphas) + 1)
         ]
         assert cu.alpha_from_aa_star_moments(moments) == alphas
+        # kappa_2n(mu) = alpha_n for the symmetrized modulus, moments (0, m_1, 0, m_2, ...)
+        interleaved = [m for moment in moments for m in (Fraction(0), moment)]
+        assert cu.cumulants_from_moments(interleaved)[1::2] == alphas

@@ -68,7 +68,6 @@ class TestBuiltinModels:
 
     def test_two_atom_model(self, two_atom_model):
         assert two_atom_model.alpha[:5] == (1, 0, -1, 2, -1)
-        assert two_atom_model.mu_even_cumulants[:4] == (1, 0, -1, 2)
         assert two_atom_model.aa_star_measure.moment(1) == 1.0
 
     def test_built_and_loaded_without_enumeration(self, monkeypatch):
@@ -82,8 +81,8 @@ class TestBuiltinModels:
         haar_alpha = (1, -1, 2, -5, 14, -42, 132, -429)
         two_atom_alpha = (1, 0, -1, 2, -1, -6, 20, -22)
         haar, two_atom = models.haar_model(), models.two_atom_model()
-        assert haar.alpha == haar.mu_even_cumulants == haar_alpha
-        assert two_atom.alpha == two_atom.mu_even_cumulants == two_atom_alpha
+        assert haar.alpha == haar_alpha
+        assert two_atom.alpha == two_atom_alpha
         loaded = models.model_from_spec({
             "name": "two-atom-json",
             "alpha": [str(a) for a in two_atom_alpha],
@@ -147,6 +146,29 @@ class TestModelSpecJson:
         path.write_text(json.dumps(wrong))
         assert cli.main(["moments", "--model", str(path), "--lambda", "2", "--route", "lagrange"]) == 2
         assert "wrong-k6" in capsys.readouterr().err
+
+    def test_alpha_only_model_matches_restated_field(self, tmp_path, capsys):
+        from freeprob import cli
+        from freeprob import series as se
+
+        alpha = [str(a) for a in models.two_atom_model().alpha]
+        spec = {
+            "name": "two-atom-json",
+            "alpha": alpha,
+            "aa_star_measure": {"atoms": [{"x": 0.0, "w": 0.5}, {"x": 2.0, "w": 0.5}]},
+        }
+        results = []
+        for i, extra in enumerate(({}, {"mu_even_cumulants": alpha})):
+            path = tmp_path / f"model{i}.json"
+            path.write_text(json.dumps({**spec, **extra}))
+            exact = se.negative_moments_lagrange(models.load_model(str(path)), 6, lam=Fraction(7, 5))
+            assert cli.main(["moments", "--model", str(path), "--lambda", "7/5", "--k", "6",
+                             "--route", "lagrange"]) == 0
+            csv = tmp_path / f"norm{i}.csv"
+            assert cli.main(["norm", "--model", str(path), "--lambda-start", "1.01",
+                             "--lambda-end", "1.1", "--steps", "5", "--out", str(csv)]) == 0
+            results.append((exact, capsys.readouterr().out, csv.read_text()))
+        assert results[0] == results[1]
 
     def test_bad_rational_rejected(self):
         with pytest.raises(ValueError):

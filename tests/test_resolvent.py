@@ -96,12 +96,10 @@ class TestCriticalPoint:
         v2 = cu.OperatorModel(
             name="v2",
             alpha=(Fraction(1), Fraction(1)),
-            mu_even_cumulants=(Fraction(1), Fraction(1)),
         )
         v1 = cu.OperatorModel(
             name="v1",
             alpha=(Fraction(1), Fraction(0)),
-            mu_even_cumulants=(Fraction(1), Fraction(0)),
         )
         lam = 1.001
         x1 = rv.find_critical_point(v1, lam)

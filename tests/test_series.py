@@ -179,7 +179,6 @@ class TestNegativeMoments:
 
         model = cu.OperatorModel(
             name="short", alpha=(Fraction(1), Fraction(0)),
-            mu_even_cumulants=(Fraction(1), Fraction(0)),
         )
         with pytest.raises(cu.OrderCapError):
             se.negative_moments_lagrange(model, 3, lam=Fraction(2))
