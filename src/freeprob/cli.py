@@ -73,6 +73,8 @@ def cmd_moments(args) -> int:
     model = models.load_model(args.model)
     lam = _parse_lambda_exact(args.lam)
     k = args.k
+    if k < 0:
+        raise CliError(f"--k must be >= 0, got {k}")
     if args.route == "all":
         routes = ("lagrange", "psd") + (("quadrature",) if model.r_mu_closed_form else ())
     else:

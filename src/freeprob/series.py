@@ -7,7 +7,9 @@ manufactures coefficients past the shorter operand's order.
 The negative moments of the shifted squared modulus come from inverting the
 rescaled series whose functional inverse is the Cauchy transform near zero;
 the rescaling keeps every coefficient polynomial (no square roots appear for
-odd series).
+odd series).  The inverse is solved for coefficient by coefficient from the
+polynomial equation it satisfies; Lagrange inversion and the fixed-point
+iteration stay as its oracles.
 """
 
 from __future__ import annotations
@@ -328,16 +330,98 @@ def rescaled_inverse_cauchy(mu_kappas: Sequence, lam_sq, order: int) -> FormalSe
     return FormalSeries(coeffs, order, parity="odd")
 
 
+def _product_coefficient(a: list, b: list, j: int):
+    """[t^j] of the product of two series known through t^j."""
+    total = 0
+    for i in range(j + 1):
+        total = total + a[i] * b[j - i]
+    return total
+
+
+def _square_coefficient(a: list, j: int):
+    """[t^j] of a^2, a known through t^j (each cross term once, doubled)."""
+    total = 0
+    for i in range((j + 1) // 2):
+        total = total + a[i] * a[j - i]
+    total = total + total
+    if j % 2 == 0:
+        total = total + a[j // 2] * a[j // 2]
+    return total
+
+
+def solve_inverse_equation(mu_kappas: Sequence, lam_sq, k: int) -> list:
+    """g_1, g_3, ..., g_{2k+1} of the compositional inverse g of
+    rescaled_inverse_cauchy(mu_kappas, lam_sq, 2k + 1), without inverting it.
+
+    The shift term T = (1 - sqrt(1 + 4 lam^2 z^2))/(2z) solves
+    z T^2 - T - lam^2 z = 0.  Substituting T = F - R_mu, F(G(w)) = w and the
+    rescaling z = sqrt(m) y, w = -m^{3/2} W (m = lam^2 - 1) shows that
+    y = g(W) solves
+
+        y = W + Q(y) + y (m W + y + m Q(y))^2,
+        Q(y) = sum_{n >= 2} kappa_2n m^{n-2} y^{2n-1}.
+
+    y is odd, so y = W h(t) with t = W^2, and h = 1 + q + t h s^2 with
+    s = m + h + m q and q = sum_n kappa_2n m^{n-2} t^{n-1} h^{2n-1}.  The t^j
+    coefficient of the right side needs h_0 .. h_{j-1} only, so each h_j is
+    one pass of convolutions: O(k^2) ring operations when R_mu(z) = z, and
+    O(N k^2) with N nonzero kappa_2n.  Coefficients may be Fractions, floats
+    or Polys; g_{2j+1} = h_j.
+    """
+    m = _coerce_scalar(lam_sq) - 1
+    one = 1.0 if isinstance(m, float) else Fraction(1)
+    # (n, kappa_2n m^{n-2}) for the nonzero kappa_2n, n = 2 .. k + 1
+    terms = [
+        (n, kap * m ** (n - 2))
+        for n, kap in enumerate(mu_kappas[1 : k + 1], start=2)
+        if not _is_zero(kap)
+    ]
+    top = max((n for n, _ in terms), default=1)
+    h: list = []
+    h_sq: list = []
+    odd_powers = {p: [] for p in range(3, 2 * top, 2)}  # h^3, h^5, ..., h^{2 top - 1}
+    s: list = []
+    s_sq: list = []
+    h_s_sq: list = []
+    for j in range(k + 1):
+        q = 0
+        for n, c in terms:
+            if j - n + 1 >= 0:
+                q = q + c * odd_powers[2 * n - 1][j - n + 1]
+        h.append((one if j == 0 else h_s_sq[j - 1]) + q)
+        if j == k:
+            break
+        h_sq.append(_square_coefficient(h, j))
+        below = h
+        for p, power in odd_powers.items():
+            if j > k - (p - 1) // 2:  # [t^j] h^p is never read again
+                break
+            power.append(_product_coefficient(below, h_sq, j))
+            below = power
+        s.append((m if j == 0 else 0) + h[j] + m * q)
+        s_sq.append(_square_coefficient(s, j))
+        h_s_sq.append(_product_coefficient(h, s_sq, j))
+    return h
+
+
 def negative_moments_lagrange(model, k: int, lam=None):
-    """m_{-2}(mu_lam), ..., m_{-2k-2}(mu_lam) through Lagrange inversion.
+    """m_{-2}(mu_lam), ..., m_{-2k-2}(mu_lam): m_{-2j-2} = g_{2j+1} / m^{3j+1}.
+
+    g is the compositional inverse of the rescaled inverse-Cauchy series
+    (``rescaled_inverse_cauchy``), m = lam^2 - 1.  Its coefficients come from
+    the polynomial equation g satisfies (``solve_inverse_equation``), not by
+    Lagrange inversion; ``lagrange_invert`` stays as the oracle in verify
+    and the tests, and the route keeps the name ``lagrange``.
 
     ``lam`` = None gives the symbolic answer: a list of RationalExpr in the
     symbols L (= lam^2), v, a3, a4, ... as supplied by the model; a Fraction
     gives exact rationals; a float gives floats.
 
-    Requires modulus cumulants kappa_2n(mu) = alpha_n through n = k + 1.
+    Requires k >= 0 and modulus cumulants kappa_2n(mu) = alpha_n through
+    n = k + 1.
     """
-    order = 2 * k + 3
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     need = k + 1
     kappas = _mu_cumulants_symbols(model, need) if lam is None else _mu_cumulants_exact(model, need)
     if lam is None:
@@ -346,12 +430,10 @@ def negative_moments_lagrange(model, k: int, lam=None):
         lam_sq = lam * lam
     else:
         lam_sq = Fraction(lam) ** 2
-    f = rescaled_inverse_cauchy(kappas, lam_sq, order)
-    g = lagrange_invert(f)
+    g = solve_inverse_equation(kappas, lam_sq, k)
     m = _coerce_scalar(lam_sq) - 1
     out = []
-    for j in range(k + 1):
-        b = g.coefficient(2 * j + 1)
+    for j, b in enumerate(g):
         if lam is None:
             out.append(RationalExpr(Poly.coerce(b), (LAM_SQ - 1) ** (3 * j + 1)))
         else:

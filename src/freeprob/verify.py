@@ -334,6 +334,35 @@ def _check_psd_vs_lagrange():
     return _record(True, 0.0, 0, "diagram route equals inversion route exactly, k <= 3, 50 points")
 
 
+def _inverse_by_lagrange(model, k, lam=None):
+    """g_1, g_3, ..., g_{2k+1}: Lagrange inversion of the rescaled inverse-Cauchy series."""
+    if lam is None:
+        kappas, lam_sq = se._mu_cumulants_symbols(model, k + 1), se.LAM_SQ
+    else:
+        kappas, lam_sq = se._mu_cumulants_exact(model, k + 1), Fraction(lam) ** 2
+    return se.lagrange_invert(se.rescaled_inverse_cauchy(kappas, lam_sq, 2 * k + 1)).coeffs[1::2]
+
+
+@_register("inverse-equation-vs-lagrange", "combinatorial")
+def _check_inverse_equation():
+    circ, two = models.circular_model(), models.two_atom_model()
+    for model in (circ, two, models.haar_model()):
+        for k in range(0, 4):
+            sym = se.negative_moments_lagrange(model, k)
+            if [Poly.coerce(b) for b in _inverse_by_lagrange(model, k)] != [e.num for e in sym]:
+                return _record(False, 1, 0, f"{model.name} k={k}: symbolic routes differ")
+    for model, k_max in ((circ, 12), (two, 7)):
+        for lam in (Fraction(21, 20), Fraction(7, 5), Fraction(3)):
+            m = lam * lam - 1
+            for k in range(0, k_max + 1):
+                oracle = [b / m ** (3 * j + 1) for j, b in enumerate(_inverse_by_lagrange(model, k, lam))]
+                if se.negative_moments_lagrange(model, k, lam=lam) != oracle:
+                    return _record(False, 1, 0, f"{model.name} k={k} lam={lam}: routes differ")
+    return _record(True, 0.0, 0, "inverse-series equation equals Lagrange inversion exactly: "
+                                 "symbolic k <= 3 on circular, two-atom, haar; circular k <= 12 "
+                                 "and two-atom k <= 7 at lam = 21/20, 7/5, 3")
+
+
 def _patterns(k, max_half):
     pairs = k + 1
     for total in range(0, max_half + 1):

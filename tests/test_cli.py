@@ -1,12 +1,15 @@
 """CLI behaviour: outputs, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from freeprob import cli
 from freeprob import circular as ci
+from freeprob import cumulants as cu
+from freeprob import series as se
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +131,53 @@ class TestMomentsCommand:
         lines = out.strip().splitlines()
         assert lines[0].split("\t")[2:] == ["lagrange", "psd", "asymptotic"]
         assert lines[-1] == "exact-route discrepancy: 0"
+
+    @pytest.mark.parametrize("route, k", [("lagrange", "-1"), ("psd", "-2")])
+    def test_negative_k_rejected(self, capsys, route, k):
+        code, out, err = run_cli(
+            capsys, "moments", "--route", route, "--lambda", "3/2", "--k", k,
+        )
+        assert code == 2
+        assert ">= 0" in err
+        assert out == ""
+
+    def test_lagrange_route_keeps_the_oracle_off_the_hot_path(self, tmp_path, capsys, monkeypatch):
+        # an atomic a a* law (atoms 1 -/+ 3/16, 1 -/+ 5/16 and 1), written the way
+        # the benchmark writes its model files
+        atoms = [(Fraction(1), Fraction(1, 4))] + [
+            (1 + s * d, Fraction(3, 16)) for d in (Fraction(3, 16), Fraction(5, 16)) for s in (-1, 1)
+        ]
+        moments = [sum(w * x**n for x, w in atoms) for n in range(1, 7)]
+        alpha = cu.alpha_from_aa_star_moments(moments)
+        path = tmp_path / "bench-style.json"
+        path.write_text(json.dumps({
+            "name": "bench-style",
+            "alpha": [str(a) for a in alpha],
+            "mu_even_cumulants": [str(a) for a in alpha],
+            "aa_star_measure": {"atoms": [{"x": float(x), "w": float(w)} for x, w in atoms]},
+        }))
+        cases = [("circular", Fraction(1234, 567), 20, [Fraction(1)]),
+                 (str(path), Fraction(7, 5), 5, alpha)]
+        expected = []
+        for _, lam, k, kappas in cases:
+            g = se.lagrange_invert(se.rescaled_inverse_cauchy(kappas, lam**2, 2 * k + 1))
+            m = lam**2 - 1
+            expected.append([format(float(g.coefficient(2 * j + 1) / m ** (3 * j + 1)), ".17g")
+                             for j in range(k + 1)])
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("Lagrange inversion on the hot path")
+
+        monkeypatch.setattr(se, "lagrange_invert", refuse)
+        monkeypatch.setattr(se, "rescaled_inverse_cauchy", refuse)
+        monkeypatch.setattr(se.FormalSeries, "reciprocal", refuse)
+        for (model, lam, k, _), want in zip(cases, expected):
+            code, out, _ = run_cli(
+                capsys, "moments", "--model", model, "--route", "lagrange",
+                "--lambda", str(lam), "--k", str(k),
+            )
+            assert code == 0
+            assert [row.split("\t")[2] for row in out.strip().splitlines()[1:]] == want
 
     def test_quadrature_zero_points_rejected(self, capsys):
         code, out, err = run_cli(

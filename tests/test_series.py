@@ -183,6 +183,25 @@ class TestNegativeMoments:
         with pytest.raises(cu.OrderCapError):
             se.negative_moments_lagrange(model, 3, lam=Fraction(2))
 
+    def test_negative_k_rejected(self, circular_model):
+        with pytest.raises(ValueError, match=">= 0"):
+            se.negative_moments_lagrange(circular_model, -1, lam=Fraction(3, 2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), max_size=5),
+           st.fractions(min_value=Fraction(21, 20), max_value=5, max_denominator=40),
+           st.integers(min_value=0, max_value=5))
+    def test_inverse_equation_matches_lagrange(self, higher, lam, k):
+        from freeprob import cumulants as cu
+
+        alpha = (Fraction(1), *higher)
+        k = min(k, len(alpha) - 1)
+        model = cu.OperatorModel(name="random", alpha=alpha)
+        g = se.lagrange_invert(se.rescaled_inverse_cauchy(alpha[: k + 1], lam**2, 2 * k + 1))
+        m = lam**2 - 1
+        oracle = [g.coefficient(2 * j + 1) / m ** (3 * j + 1) for j in range(k + 1)]
+        assert se.negative_moments_lagrange(model, k, lam=lam) == oracle
+
     def test_coefficient_convergence(self, circular_model):
         # rescaled inverse coefficients approach C2_k v^k as lam -> 1
         lam = Fraction(1001, 1000)
