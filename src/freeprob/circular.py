@@ -239,33 +239,6 @@ def shift_r_transform_coefficients(max_n: int) -> list[Poly]:
     return cu.cumulants_from_moments(even)
 
 
-def verify_circular_r_transform(max_n: int = 8) -> dict:
-    """Check the closed-form R-transform of |lam - c|^2 on both routes.
-
-    Returns a report dict; ``ok`` is True when the analytic route, the
-    combinatorial route, and the closed form 1 + n lam^2 (constant 1 + lam^2
-    folded into n = 1) agree exactly to order ``max_n``.
-    """
-    lam = Poly.var("lam")
-    lam_sq = lam * lam
-    analytic = shift_r_transform_coefficients(max_n)
-    combinatorial = cu.circular_shift_cumulants(max_n)
-    target = [1 + lam_sq] + [1 + n * lam_sq for n in range(2, max_n + 1)]
-    mismatches = []
-    for n, (a, b, t) in enumerate(zip(analytic, combinatorial, target), start=1):
-        if a != t or b != t:
-            mismatches.append({"n": n, "analytic": repr(a), "combinatorial": repr(b), "target": repr(t)})
-    # lam = 0 degenerates to the free Poisson: all cumulants 1
-    at_zero = [k.subs({"lam": 0}) for k in analytic]
-    poisson_ok = all(v == 1 for v in at_zero)
-    return {
-        "ok": not mismatches and poisson_ok,
-        "order": max_n,
-        "mismatches": mismatches,
-        "free_poisson_at_lam0": poisson_ok,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Moments of |lam - c|^2 by direct word expansion (quadrature cross-checks)
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ class NormResult:
     x_critical: float
 
 
-def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -49,7 +49,7 @@ def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
         return hi
     if (flo > 0) == (fhi > 0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f = {flo}, {fhi}")
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -82,7 +82,7 @@ def h_equation_residual(model, lam: float, t: float, s: float) -> float:
     return (s - t) * (1.0 / h - s + t) - lam * lam
 
 
-def solve_subordination(model, lam: float, t: float, max_doublings: int = 200) -> float:
+def solve_subordination(model, lam: float, t: float) -> float:
     """The unique s in (t, inf) with (s - t)(1/h(s) - s + t) = lam^2.
 
     The left side is 0 at s = t and grows like t * s for large s, so a
@@ -98,14 +98,12 @@ def solve_subordination(model, lam: float, t: float, max_doublings: int = 200) -
 
     lo = t * (1.0 + 1e-12) + 1e-300
     hi = max(2.0 * t, 1.0)
-    budget = max_doublings
-    while g(hi) < 0.0:
+    for _ in range(200):
+        if g(hi) >= 0.0:
+            break
         hi *= 2.0
-        budget -= 1
-        if budget == 0:
-            raise BracketError(
-                f"no bracket for lam={lam}, t={t} within {max_doublings} doublings"
-            )
+    else:
+        raise BracketError(f"no bracket for lam={lam}, t={t} within 200 doublings")
     s_root = _bisect(g, lo, hi)
     return s_root
 
@@ -178,7 +176,7 @@ def variance_v(model) -> float:
     raise ValueError("model carries no fourth-moment data")
 
 
-def find_critical_point(model, lam: float, guard: float = TRUNCATED_LAMBDA_GUARD) -> float:
+def find_critical_point(model, lam: float) -> float:
     """The unique x in (0, 1/sqrt(v)) with F'(x) = 0, by bisection.
 
     F' is strictly decreasing on the bracket (positive at 0+, negative at the
@@ -190,9 +188,9 @@ def find_critical_point(model, lam: float, guard: float = TRUNCATED_LAMBDA_GUARD
         raise RegimeError("v = 0: Haar-unitary regime has no norm blow-up law")
     if lam <= 1:
         raise ValueError("requires lam > 1")
-    if not model.r_mu_closed_form and lam - 1 < guard:
+    if not model.r_mu_closed_form and lam - 1 < TRUNCATED_LAMBDA_GUARD:
         raise RegimeError(
-            f"lam - 1 = {lam - 1:g} under the truncation guard {guard:g} "
+            f"lam - 1 = {lam - 1:g} under the truncation guard {TRUNCATED_LAMBDA_GUARD:g} "
             f"for a finitely-truncated model"
         )
     hi = 1.0 / math.sqrt(v)
@@ -210,13 +208,13 @@ def find_critical_point(model, lam: float, guard: float = TRUNCATED_LAMBDA_GUARD
     return _bisect(fprime, lo, hi)
 
 
-def resolvent_norm(model, lam: float, guard: float = TRUNCATED_LAMBDA_GUARD) -> NormResult:
+def resolvent_norm(model, lam: float) -> NormResult:
     """||(lam - a)^{-1}|| = 1 / ((lam^2-1)^{3/2} F(x*)).
 
     Exact for the circular model (its modulus R-transform is closed form);
     truncated-cumulant models carry the route tag 'series-truncated'.
     """
-    x_star = find_critical_point(model, lam, guard)
+    x_star = find_critical_point(model, lam)
     m = lam * lam - 1.0
     f_val = rescaled_series_value(model, lam, x_star)
     if f_val <= 0:

@@ -120,16 +120,6 @@ class FormalSeries:
             parity = "even" if self.parity == other.parity else "odd"
         return FormalSeries(out, order, parity)
 
-    def power(self, n: int) -> "FormalSeries":
-        result = FormalSeries([1], self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def compose(self, inner: "FormalSeries") -> "FormalSeries":
         """self(inner(z)); requires inner(0) = 0."""
         if not _is_zero(inner.coeffs[0]):
@@ -159,17 +149,6 @@ class FormalSeries:
                 s = s + cj * out[k - j]
             out[k] = -inv0 * s
         return FormalSeries(out, self.order)
-
-    def derivative(self) -> "FormalSeries":
-        coeffs = [(k + 1) * self.coeffs[k + 1] for k in range(self.order)]
-        parity = {"odd": "even", "even": "odd"}.get(self.parity)
-        return FormalSeries(coeffs, self.order - 1, parity)
-
-    def evaluate(self, x):
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
 
 
 def _invert_unit(c):
@@ -284,30 +263,6 @@ def invert_by_iteration(f: FormalSeries) -> FormalSeries:
 # ---------------------------------------------------------------------------
 
 LAM_SQ = Poly.var("L")  # symbol for lam^2 in the symbolic pipeline
-
-
-def modulus_r_series(mu_kappas: Sequence, order: int) -> FormalSeries:
-    """R-transform series of the symmetrized modulus: sum kappa_{2n} z^{2n-1},
-    with mu_kappas = kappa_2, kappa_4, ... (for a model, its alpha)."""
-    coeffs = [0] * (order + 1)
-    for n, kap in enumerate(mu_kappas, start=1):
-        if 2 * n - 1 <= order:
-            coeffs[2 * n - 1] = kap
-    return FormalSeries(coeffs, order, parity="odd")
-
-
-def inverse_cauchy_series(r_mu: FormalSeries, lam_sq, order: int | None = None) -> FormalSeries:
-    """The odd series whose functional inverse is the Cauchy transform of the
-    shifted symmetrized measure: R_mu(z) + (1 - sqrt(1 + 4 lam^2 z^2))/(2z).
-    """
-    if r_mu.parity != "odd":
-        raise ValueError("R_mu must be an odd series")
-    if r_mu.order >= 1 and r_mu.coeffs[1] != 1:
-        raise ValueError("normalization requires kappa_2(mu) = 1")
-    order = order if order is not None else r_mu.order
-    shift = negative_root_shift(lam_sq, order)
-    trimmed = FormalSeries(r_mu.coeffs[: order + 1], order, parity="odd")
-    return trimmed + shift
 
 
 def rescaled_inverse_cauchy(mu_kappas: Sequence, lam_sq, order: int) -> FormalSeries:

@@ -3,14 +3,10 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from freeprob import circular as ci
-from freeprob import cumulants as cu
 from freeprob.ring import Poly
-
-LAM = Poly.var("lam")
 
 
 class TestKTransform:
@@ -18,15 +14,8 @@ class TestKTransform:
         assert ci.k_transform(0.5, 0.0) == pytest.approx(8.0, abs=1e-14)
         assert ci.k_transform_summed(0.5, 0.0) == pytest.approx(8.0, abs=1e-14)
 
-    def test_forms_agree_at_random_points(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            if abs(z) < 1e-2 or abs(z - 1) < 1e-2:
-                continue
-            m = rng.uniform(0.05, 8.0)
-            a, b = ci.k_transform(z, m), ci.k_transform_summed(z, m)
-            assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
+    def test_forms_agree_at_random_points(self, registry_record):
+        registry_record("k-transform-forms")
 
     def test_pole_errors(self):
         with pytest.raises(ci.PoleError):
@@ -34,13 +23,8 @@ class TestKTransform:
         with pytest.raises(ci.PoleError):
             ci.k_transform(1.0, 1.0)
 
-    def test_k_at_critical_points_is_support(self):
-        for lam in (1.01, 1.1, 1.5, 2.0, 3.0):
-            m = lam * lam - 1
-            zm, zp = ci.critical_points(lam)
-            sm, sp = ci.support_endpoints(lam)
-            assert abs(ci.k_transform(zm, m) - sm) <= 1e-12 * max(1.0, abs(sm))
-            assert abs(ci.k_transform(zp, m) - sp) <= 1e-12 * max(1.0, abs(sp))
+    def test_k_at_critical_points_is_support(self, registry_record):
+        registry_record("support-endpoints-critical-search")
 
     def test_critical_point_locations(self):
         for lam in (1.05, 1.5, 4.0):
@@ -68,17 +52,14 @@ class TestSupportEndpoints:
 
 
 class TestInfSpec:
-    def test_equals_s_minus(self):
-        for lam in (1.01, 1.3, 2.0, 10.0):
-            assert ci.inf_spec(lam) == pytest.approx(ci.support_endpoints(lam)[0], rel=1e-12)
+    def test_equals_s_minus(self, registry_record):
+        registry_record("inf-spec-consistency")
 
     def test_sqrt2(self):
         assert ci.inf_spec(math.sqrt(2.0)) == pytest.approx((71 - 17**1.5) / 16, rel=1e-13)
 
-    def test_taylor_leading_term(self):
-        lam = 1.0 + 1e-3
-        lead = (32.0 / 27.0) * (lam - 1.0) ** 3
-        assert ci.inf_spec(lam) == pytest.approx(lead, rel=5e-3)
+    def test_taylor_leading_term(self, registry_record):
+        registry_record("taylor-leading-term")
 
     def test_cubic_scaling_by_finite_differences(self):
         # log-slope of inf_spec near 1 is 3
@@ -108,25 +89,11 @@ class TestCauchyTransform:
         assert abs(g.imag) < 1e-12
         assert g.real < 0
 
-    def test_functional_inverse_residual(self):
-        rng = np.random.default_rng(1)
-        for lam in (1.5, 2.0):
-            spec = ci.CircularSpectrum.at(lam)
-            count = 0
-            while count < 25:
-                w = complex(rng.uniform(-15, 25), rng.uniform(-8, 8))
-                if abs(w.imag) < 1e-2 and spec.s_minus - 1 < w.real < spec.s_plus + 1:
-                    continue
-                g = ci.cauchy_transform(w, lam)
-                assert abs(ci.k_transform(g, spec.m) - w) < 1e-10
-                count += 1
+    def test_functional_inverse_residual(self, registry_record):
+        registry_record("cauchy-functional-inverse")
 
-    def test_herglotz(self):
-        rng = np.random.default_rng(2)
-        for lam in (1.2, 3.0):
-            for _ in range(25):
-                w = complex(rng.uniform(-5, 30), rng.uniform(1e-5, 8))
-                assert ci.cauchy_transform(w, lam).imag <= 1e-12
+    def test_herglotz(self, registry_record):
+        registry_record("cauchy-herglotz")
 
     def test_support_rejected(self):
         lam = 2.0
@@ -137,38 +104,27 @@ class TestCauchyTransform:
             ci.cauchy_transform(0j, lam)
 
 
-@pytest.fixture(scope="module")
-def meas2():
-    return ci.density(2.0, 512)
-
-
 class TestDensity:
+    def test_mass(self, registry_record):
+        registry_record("density-properties")
 
-    def test_mass(self, meas2):
-        assert meas2.total_mass() == pytest.approx(1.0, abs=1e-6)
+    def test_mean(self, registry_record):
+        registry_record("density-properties")
 
-    def test_mean(self, meas2):
-        assert meas2.moment(1) == pytest.approx(5.0, abs=1e-6)
-
-    def test_second_moment_vs_combinatorial(self, meas2):
+    def test_second_moment_vs_combinatorial(self):
         expected = float(ci.shift_square_modulus_moment(2, Fraction(2)))
         assert expected == 34.0
-        assert meas2.moment(2) == pytest.approx(expected, rel=1e-5)
+        assert ci.density(2.0, 512).moment(2) == pytest.approx(expected, rel=1e-5)
 
-    def test_grid_inside_support(self, meas2):
-        sm, sp = ci.support_endpoints(2.0)
-        assert meas2.grid[0] > sm
-        assert meas2.grid[-1] < sp
+    def test_grid_inside_support(self, registry_record):
+        registry_record("density-properties")
 
-    def test_density_nonnegative_and_positive_inside(self, meas2):
-        assert (meas2.density >= 0).all()
-        assert meas2.density[len(meas2.grid) // 2] > 0
+    def test_density_nonnegative_and_positive_inside(self, registry_record):
+        registry_record("density-properties")
 
     @pytest.mark.parametrize("lam", [1.1, 1.5, 3.0, 10.0])
-    def test_mass_and_mean_across_lambdas(self, lam):
-        meas = ci.density(lam, 512)
-        assert meas.total_mass() == pytest.approx(1.0, abs=1e-6)
-        assert meas.moment(1) == pytest.approx(lam * lam + 1, rel=1e-6)
+    def test_mass_and_mean_across_lambdas(self, lam, registry_record):
+        registry_record("density-properties")
 
     @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0, 10.0])
     def test_quadrature_error_stated(self, lam):
@@ -192,22 +148,11 @@ class TestDensity:
 
 
 class TestPushforward:
-    def test_point_mass(self):
-        import freeprob.measures as me
+    def test_point_mass(self, registry_record):
+        registry_record("pushforward-inverse-sqrt")
 
-        pushed = ci.pushforward_inverse_sqrt(me.SpectralMeasure.from_atoms([(4.0, 1.0)]))
-        assert pushed.atoms == ((0.5, 1.0),)
-
-    def test_mass_conservation_and_support(self):
-        lam = 2.0
-        meas = ci.density(lam, 512)
-        pushed = ci.pushforward_inverse_sqrt(meas)
-        assert pushed.total_mass() == pytest.approx(1.0, abs=1e-6)
-        # sup of the pushed support approaches the resolvent norm
-        assert pushed.support_max() == pytest.approx(ci.inf_spec(lam) ** -0.5, rel=1e-3)
-        assert pushed.support_min() == pytest.approx(
-            ci.support_endpoints(lam)[1] ** -0.5, rel=1e-3
-        )
+    def test_mass_conservation_and_support(self, registry_record):
+        registry_record("pushforward-inverse-sqrt")
 
     def test_moment_transport(self):
         # integral of y^-2 under the pushforward is the mean of the original
@@ -226,33 +171,17 @@ class TestPushforward:
 
 
 class TestRTransformIdentity:
-    def test_analytic_coefficients(self):
-        ks = ci.shift_r_transform_coefficients(4)
-        assert ks[0] == 1 + LAM**2  # z^0 coefficient of the R-transform
-        assert ks[3] == 1 + 4 * LAM**2  # z^3 coefficient
+    def test_analytic_coefficients(self, registry_record):
+        registry_record("r-transform-identity")
 
-    def test_combinatorial_route_matches(self):
-        analytic = ci.shift_r_transform_coefficients(6)
-        combinatorial = cu.circular_shift_cumulants(6)
-        assert analytic == combinatorial
+    def test_combinatorial_route_matches(self, registry_record):
+        registry_record("r-transform-identity")
 
-    def test_cumulants_sum_to_the_transform_series(self):
-        # sum kappa_n z^{n-1} equals the series of 1/(1-z) + lam^2/(1-z)^2
-        from freeprob import series as se
+    def test_cumulants_sum_to_the_transform_series(self, registry_record):
+        registry_record("r-transform-identity")
 
-        order = 6
-        one_minus_z = se.FormalSeries([1, -1] + [0] * (order - 1), order)
-        inv = one_minus_z.reciprocal()
-        lam2 = LAM * LAM
-        closed = inv + (inv * inv).scale(lam2)
-        kappas = cu.circular_shift_cumulants(order + 1)
-        assert [Poly.coerce(c) for c in closed.coeffs] == [
-            Poly.coerce(k) for k in kappas[: order + 1]
-        ]
-
-    def test_lam_zero_free_poisson(self):
-        ks = ci.shift_r_transform_coefficients(5)
-        assert [k.subs({"lam": Fraction(0)}) for k in ks] == [1, 1, 1, 1, 1]
+    def test_lam_zero_free_poisson(self, registry_record):
+        registry_record("r-transform-identity")
 
 
 class TestWordMoments:

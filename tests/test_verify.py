@@ -1,8 +1,13 @@
-"""The named verification suites themselves."""
+"""The named verification suites themselves: one pytest id per registry check."""
 
 import pytest
 
 from freeprob import verify
+
+
+@pytest.mark.parametrize("name", [c.name for c in verify._REGISTRY])
+def test_check_passes(name, registry_record):
+    registry_record(name)
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
@@ -15,6 +20,11 @@ def test_each_suite_passes(suite, verify_report):
 def test_all_runs_everything(verify_report):
     assert verify_report["total"] == len(verify._REGISTRY)
     assert {c["suite"] for c in verify_report["checks"]} == set(verify.SUITES)
+    assert len({c.name for c in verify._REGISTRY}) == len(verify._REGISTRY)
+
+
+def test_every_record_has_its_wall_time(verify_report):
+    assert all(c["seconds"] >= 0 for c in verify_report["checks"])
 
 
 def test_unknown_suite_rejected():
@@ -35,3 +45,4 @@ def test_crashing_check_reports_failure(monkeypatch):
     bad = [c for c in report["checks"] if c["name"] == "psd-quadrangulation-counts"]
     assert bad and not bad[0]["passed"]
     assert "injected" in bad[0]["detail"]
+    assert bad[0]["seconds"] >= 0
