@@ -203,8 +203,10 @@ def enumerate_nc(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[SetPartitio
         raise ValueError("n must be >= 1")
     if n > bound:
         raise EnumerationBoundError(f"NC({n}) exceeds enumeration bound {bound}")
+    # _regions_noncrossing emits canonical form already (each block ascending,
+    # the block of a region's least point first, then the gap regions in order)
     for blocks in _regions_noncrossing(tuple(range(1, n + 1))):
-        yield SetPartition.of(n, blocks)
+        yield SetPartition(n, tuple(blocks))
 
 
 def enumerate_nc_blocks(points: Sequence[int], allowed_sizes=None) -> Iterator[list[tuple[int, ...]]]:

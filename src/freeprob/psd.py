@@ -386,6 +386,23 @@ X = Poly.var("x")  # stands for 1/(lam^2 - 1)
 Y = Poly.var("y")  # stands for 1/lam^2
 
 
+def _diagram_sum(k: int, x, y, alphas):
+    """sum over profile_table(k) of count * x^{s_1} * y^{(k+1) + sum_{l>=2} l s_l}
+    * prod_{l>=2} alpha_l^{s_l}, with ``alphas`` = alpha_2 .. alpha_{k+1}.
+
+    Generic in the value types: Poly symbols give the moment polynomial,
+    Fractions or floats give its value without building a Poly.
+    """
+    total = 0
+    for s, count in profile_table(k).items():
+        term = count * x ** s[0] * y ** ((k + 1) + sum(ell * s[ell - 1] for ell in range(2, k + 2)))
+        for ell in range(2, k + 2):
+            if s[ell - 1]:
+                term = term * alphas[ell - 2] ** s[ell - 1]
+        total = total + term
+    return total
+
+
 def moment_polynomial(k: int, alphas=None) -> Poly:
     """The two-variable polynomial P_{k+1} with
     phi(|lam - a|^{-2(k+1)}) = P_{k+1}(1/(lam^2-1), 1/lam^2).
@@ -401,36 +418,25 @@ def moment_polynomial(k: int, alphas=None) -> Poly:
     values, not coefficients.
     """
     if alphas is None:
-        alpha_of = {ell: Poly.var(f"a{ell}") for ell in range(2, k + 2)}
-    else:
-        alphas = list(alphas)
-        alpha_of = {ell: alphas[ell - 2] for ell in range(2, k + 2)}
-    total = Poly()
-    for s, count in sorted(profile_table(k).items()):
-        term = Poly.const(count) * X ** s[0]
-        term = term * Y ** ((k + 1) + sum(ell * s[ell - 1] for ell in range(2, k + 2)))
-        for ell in range(2, k + 2):
-            if s[ell - 1]:
-                term = term * Poly.coerce(alpha_of[ell]) ** s[ell - 1]
-        total = total + term
-    return total
+        alphas = [Poly.var(f"a{ell}") for ell in range(2, k + 2)]
+    return _diagram_sum(k, X, Y, list(alphas))
 
 
 def negative_moment_psd(model, lam, k: int):
-    """phi(|lam - a|^{-2(k+1)}) by evaluating the moment polynomial.
+    """phi(|lam - a|^{-2(k+1)}): the moment polynomial's diagram sum evaluated
+    at x = 1/(lam^2-1), y = 1/lam^2 directly, with no Poly built.
 
     Exact (Fraction) for rational lam, float for float lam.  Requires
     alpha_2..alpha_{k+1} from the model.
     """
     alphas = [model.alpha_at(ell) for ell in range(2, k + 2)]
-    poly = moment_polynomial(k, alphas)
     if isinstance(lam, float):
         lam_sq = lam * lam
-        return poly.subs({"x": 1.0 / (lam_sq - 1.0), "y": 1.0 / lam_sq})
+        return _diagram_sum(k, 1.0 / (lam_sq - 1.0), 1.0 / lam_sq, alphas)
     lam_sq = Fraction(lam) ** 2
     if lam_sq <= 1:
         raise ValueError("requires lam > 1")
-    return poly.subs({"x": Fraction(1) / (lam_sq - 1), "y": Fraction(1) / lam_sq})
+    return _diagram_sum(k, Fraction(1) / (lam_sq - 1), Fraction(1) / lam_sq, alphas)
 
 
 def moment_polynomial_json(poly: Poly) -> list:

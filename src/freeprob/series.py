@@ -304,9 +304,10 @@ def _square_coefficient(a: list, j: int):
     return total
 
 
-def solve_inverse_equation(mu_kappas: Sequence, lam_sq, k: int) -> list:
-    """g_1, g_3, ..., g_{2k+1} of the compositional inverse g of
-    rescaled_inverse_cauchy(mu_kappas, lam_sq, 2k + 1), without inverting it.
+def solve_inverse_equation(mu_kappas: Sequence, lam_sq, k: int) -> tuple[list, object]:
+    """(H, C) with g_{2j+1} = H_j / C^j for j = 0 .. k, where g is the
+    compositional inverse of rescaled_inverse_cauchy(mu_kappas, lam_sq, 2k + 1),
+    found without inverting it.
 
     The shift term T = (1 - sqrt(1 + 4 lam^2 z^2))/(2z) solves
     z T^2 - T - lam^2 z = 0.  Substituting T = F - R_mu, F(G(w)) = w and the
@@ -320,21 +321,38 @@ def solve_inverse_equation(mu_kappas: Sequence, lam_sq, k: int) -> list:
     s = m + h + m q and q = sum_n kappa_2n m^{n-2} t^{n-1} h^{2n-1}.  The t^j
     coefficient of the right side needs h_0 .. h_{j-1} only, so each h_j is
     one pass of convolutions: O(k^2) ring operations when R_mu(z) = z, and
-    O(N k^2) with N nonzero kappa_2n.  Coefficients may be Fractions, floats
-    or Polys; g_{2j+1} = h_j.
+    O(N k^2) with N nonzero kappa_2n.
+
+    Graded integer scaling.  Write m = a / b in lowest terms, let L be the
+    lcm of the denominators of kappa_4 .. kappa_{2(k+1)} and C = b^2 L, and
+    scale the t^j coefficient of every series by C^j, that of s by one more
+    b: H_j = C^j h_j, Q_j = C^j q_j, S_j = b C^j s_j.  A product of j-graded
+    coefficients carries C^j whatever the split of j, so the recurrence becomes
+
+        H_0 = 1,  H_{j+1} = L (H S^2)_j + Q_{j+1}        (C / b^2 = L),
+        S_0 = a + b,  S_j = b H_j + a Q_j,
+        Q_j = sum_n K_n (H^{2n-1})_{j-n+1},  K_n = kappa_2n a^{n-2} b^n L^{n-1},
+
+    and K_n is an integer (L^{n-1} clears kappa_2n's denominator for n >= 2),
+    so every H_j is a Python int and no Fraction is normalised in the loop.
+    For float and Poly (symbolic) coefficients a = m and b = L = 1, so C = 1
+    and the same loop is the unscaled recurrence.
     """
     m = _coerce_scalar(lam_sq) - 1
-    one = 1.0 if isinstance(m, float) else Fraction(1)
-    # (n, kappa_2n m^{n-2}) for the nonzero kappa_2n, n = 2 .. k + 1
-    terms = [
-        (n, kap * m ** (n - 2))
-        for n, kap in enumerate(mu_kappas[1 : k + 1], start=2)
-        if not _is_zero(kap)
-    ]
+    exact = isinstance(m, Fraction)
+    a, b = (m.numerator, m.denominator) if exact else (m, 1)
+    big_l = math.lcm(*(Fraction(kap).denominator for kap in mu_kappas[1 : k + 1])) if exact else 1
+    one = 1.0 if isinstance(m, float) else 1
+    # (n, K_n) for the nonzero kappa_2n, n = 2 .. k + 1
+    terms = []
+    for n, kap in enumerate(mu_kappas[1 : k + 1], start=2):
+        if not _is_zero(kap):
+            c = kap * a ** (n - 2) * b**n * big_l ** (n - 1)
+            terms.append((n, Fraction(c).numerator if exact else c))
     top = max((n for n, _ in terms), default=1)
     h: list = []
     h_sq: list = []
-    odd_powers = {p: [] for p in range(3, 2 * top, 2)}  # h^3, h^5, ..., h^{2 top - 1}
+    odd_powers = {p: [] for p in range(3, 2 * top, 2)}  # H^3, H^5, ..., H^{2 top - 1}
     s: list = []
     s_sq: list = []
     h_s_sq: list = []
@@ -343,20 +361,20 @@ def solve_inverse_equation(mu_kappas: Sequence, lam_sq, k: int) -> list:
         for n, c in terms:
             if j - n + 1 >= 0:
                 q = q + c * odd_powers[2 * n - 1][j - n + 1]
-        h.append((one if j == 0 else h_s_sq[j - 1]) + q)
+        h.append((one if j == 0 else big_l * h_s_sq[j - 1]) + q)
         if j == k:
             break
         h_sq.append(_square_coefficient(h, j))
         below = h
         for p, power in odd_powers.items():
-            if j > k - (p - 1) // 2:  # [t^j] h^p is never read again
+            if j > k - (p - 1) // 2:  # [t^j] H^p is never read again
                 break
             power.append(_product_coefficient(below, h_sq, j))
             below = power
-        s.append((m if j == 0 else 0) + h[j] + m * q)
+        s.append((a if j == 0 else 0) + b * h[j] + a * q)
         s_sq.append(_square_coefficient(s, j))
         h_s_sq.append(_product_coefficient(h, s_sq, j))
-    return h
+    return h, b * b * big_l
 
 
 def negative_moments_lagrange(model, k: int, lam=None):
@@ -385,14 +403,18 @@ def negative_moments_lagrange(model, k: int, lam=None):
         lam_sq = lam * lam
     else:
         lam_sq = Fraction(lam) ** 2
-    g = solve_inverse_equation(kappas, lam_sq, k)
+    scaled, big_c = solve_inverse_equation(kappas, lam_sq, k)
     m = _coerce_scalar(lam_sq) - 1
     out = []
-    for j, b in enumerate(g):
+    for j, h in enumerate(scaled):
         if lam is None:
-            out.append(RationalExpr(Poly.coerce(b), (LAM_SQ - 1) ** (3 * j + 1)))
+            out.append(RationalExpr(Poly.coerce(h), (LAM_SQ - 1) ** (3 * j + 1)))
+        elif isinstance(m, Fraction):
+            # g_{2j+1} / m^{3j+1} = H_j b^{3j+1} / (C^j a^{3j+1}): one normalisation
+            e = 3 * j + 1
+            out.append(Fraction(h * m.denominator**e, big_c**j * m.numerator**e))
         else:
-            out.append(b / m ** (3 * j + 1))
+            out.append(h / m ** (3 * j + 1))
     return out
 
 

@@ -408,16 +408,42 @@ def _check_inverse_equation():
             sym = se.negative_moments_lagrange(model, k)
             if [Poly.coerce(b) for b in _inverse_by_lagrange(model, k)] != [e.num for e in sym]:
                 return _record(False, 1, 0, f"{model.name} k={k}: symbolic routes differ")
-    for model, k_max in ((circ, 12), (two, 7)):
+    # alpha denominators 3, 16 and 27: the integer-scaled solve runs with L > 1
+    # (and with b > 1 at every non-integer lam)
+    dens = cu.OperatorModel(name="alpha-dens", alpha=(
+        Fraction(1), Fraction(1, 3), Fraction(-5, 16), Fraction(7, 27),
+        Fraction(2, 3), Fraction(-1, 16), Fraction(4, 27), Fraction(-11, 48)))
+    for model, k_max in ((circ, 12), (two, 7), (dens, 7)):
         for lam in (Fraction(21, 20), Fraction(7, 5), Fraction(3)):
             m = lam * lam - 1
             for k in range(0, k_max + 1):
                 oracle = [b / m ** (3 * j + 1) for j, b in enumerate(_inverse_by_lagrange(model, k, lam))]
                 if se.negative_moments_lagrange(model, k, lam=lam) != oracle:
                     return _record(False, 1, 0, f"{model.name} k={k} lam={lam}: routes differ")
+    for lam in (Fraction(21, 20), Fraction(7, 5), Fraction(3), Fraction(237, 223)):
+        if se.negative_moments_lagrange(circ, 60, lam=lam) != _circular_by_cubic(lam, 60):
+            return _record(False, 1, 0, f"circular k <= 60 lam={lam}: cubic recurrence differs")
     return _record(True, 0.0, 0, "inverse-series equation equals Lagrange inversion exactly: "
-                                 "symbolic k <= 3 on circular, two-atom, haar; circular k <= 12 "
-                                 "and two-atom k <= 7 at lam = 21/20, 7/5, 3")
+                                 "symbolic k <= 3 on circular, two-atom, haar; circular k <= 12, "
+                                 "two-atom k <= 7 and an alpha model with denominators 3, 16, 27 "
+                                 "k <= 7 at lam = 21/20, 7/5, 3; and the circular cubic recurrence "
+                                 "for k <= 60 at lam = 21/20, 7/5, 3, 237/223")
+
+
+def _circular_by_cubic(lam, k):
+    """m_{-2}, ..., m_{-2k-2} of |lam - c|^2 from the circular Cauchy cubic.
+
+    Near w = 0, z = G(w) = -sum_j m_{-2j-2} w^j solves
+    w z^3 - 2 w z^2 + (w - m) z - 1 = 0 (m = lam^2 - 1), so its coefficients
+    c_n obey m c_n = [w^{n-1}] (z^3 - 2 z^2 + z), with c_0 = -1/m.
+    """
+    m = Fraction(lam) ** 2 - 1
+    c, sq, cube = [-1 / m], [], []
+    for n in range(1, k + 1):
+        sq.append(sum(c[i] * c[n - 1 - i] for i in range(n)))
+        cube.append(sum(c[i] * sq[n - 1 - i] for i in range(n)))
+        c.append((cube[-1] - 2 * sq[-1] + c[-1]) / m)
+    return [-x for x in c]
 
 
 def _patterns(k, max_half):

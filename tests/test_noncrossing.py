@@ -89,6 +89,15 @@ class TestEnumerateNC:
         assert list(nc.enumerate_nc(6)) == list(nc.enumerate_nc(6))
         assert list(nc.enumerate_nc(3))[0].blocks == ((1,), (2,), (3,))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_yields_canonical_partitions_unchecked(self, n):
+        # enumerate_nc skips SetPartition.of; the raw block lists must already
+        # be canonical, in the same order as when each went through .of
+        got = list(nc.enumerate_nc(n))
+        via_of = [nc.SetPartition.of(n, b) for b in nc.enumerate_nc_blocks(range(1, n + 1))]
+        assert got == via_of
+        assert all(p == nc.SetPartition.of(n, p.blocks) for p in got)
+
     def test_bound_error(self):
         with pytest.raises(nc.EnumerationBoundError):
             list(nc.enumerate_nc(25))

@@ -220,10 +220,14 @@ class TestMomentPolynomial:
         with pytest.raises(cu.OrderCapError):
             psd.negative_moment_psd(model, Fraction(2), 3)
 
-    def test_float_mode(self, circular_model):
-        exact = psd.negative_moment_psd(circular_model, Fraction(3, 2), 2)
-        approx = psd.negative_moment_psd(circular_model, 1.5, 2)
-        assert approx == pytest.approx(float(exact), rel=1e-12)
+    def test_float_mode(self, circular_model, two_atom_model):
+        # the float diagram sum runs through the same helper as the Fraction one
+        for model in (circular_model, two_atom_model):
+            for k in range(4):
+                exact = psd.negative_moment_psd(model, Fraction(3, 2), k)
+                approx = psd.negative_moment_psd(model, 1.5, k)
+                assert isinstance(approx, float)
+                assert approx == pytest.approx(float(exact), rel=1e-12)
 
     def test_json_serialization(self):
         poly = psd.moment_polynomial(1, alphas=[Fraction(-1, 2)])
