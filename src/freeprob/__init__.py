@@ -20,6 +20,10 @@ Modules:
 
 __version__ = "0.1.0"
 
+# The suites of ``verify``, named here so that the CLI offers them without
+# loading the registry.
+VERIFY_SUITES = ("combinatorial", "analytic", "asymptotic")
+
 __all__ = [
     "circular",
     "cli",

@@ -20,13 +20,13 @@ import json
 import sys
 from fractions import Fraction
 
+from . import VERIFY_SUITES
 from . import circular as ci
 from . import models
 from . import noncrossing as nc
 from . import psd
 from . import resolvent as rv
 from . import series as se
-from . import verify as ve
 
 USAGE_ERROR = 2
 
@@ -85,8 +85,8 @@ def cmd_moments(args) -> int:
         exact["lagrange"] = se.negative_moments_lagrange(model, k, lam=lam)
         table["lagrange"] = [float(x) for x in exact["lagrange"]]
     if "psd" in routes:
-        if k > psd.ENUMERATION_K_BOUND:
-            raise CliError(f"psd route bound is k <= {psd.ENUMERATION_K_BOUND}")
+        if k > psd.PROFILE_K_BOUND:
+            raise CliError(f"psd route bound is k <= {psd.PROFILE_K_BOUND}")
         exact["psd"] = [psd.negative_moment_psd(model, lam, j) for j in range(k + 1)]
         table["psd"] = [float(x) for x in exact["psd"]]
     if "quadrature" in routes:
@@ -156,7 +156,7 @@ def cmd_count(args) -> int:
     if args.what == "nc":
         if args.n is None:
             raise CliError("count nc needs --n")
-        print(sum(1 for _ in nc.enumerate_nc(args.n)))
+        print(nc.count_nc(args.n))
     elif args.what == "tilings":
         if args.k is None:
             raise CliError("count tilings needs --k")
@@ -173,7 +173,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = ve.run_suite(args.suite)
+    from . import verify  # the registry loads only for this subcommand
+
+    report = verify.run_suite(args.suite)
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0 if report["failed"] == 0 else 1
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("verify", help="run the named verification suites")
-    p.add_argument("--suite", choices=("all",) + ve.SUITES, default="all")
+    p.add_argument("--suite", choices=("all",) + VERIFY_SUITES, default="all")
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -18,6 +18,7 @@ assert the records (one pytest id per check) instead of recomputing them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -26,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import VERIFY_SUITES as SUITES
 from . import circular as ci
 from . import cumulants as cu
 from . import models
@@ -34,8 +36,6 @@ from . import psd
 from . import resolvent as rv
 from . import series as se
 from .ring import Poly, RationalExpr
-
-SUITES = ("combinatorial", "analytic", "asymptotic")
 
 
 class Check:
@@ -67,11 +67,14 @@ def _record(passed, residual, tolerance, detail=""):
 
 @_register("nc-catalan-counts", "combinatorial")
 def _check_nc_counts():
-    for n in range(1, 11):
-        count = sum(1 for _ in nc.enumerate_nc(n))
+    for n in range(1, nc.ENUMERATION_BOUND + 1):
+        count = nc.count_nc(n)
+        if n <= 10 and count != sum(1 for _ in nc.enumerate_nc(n)):
+            return _record(False, 1, 0, f"count_nc({n}) = {count} differs from the enumeration")
         if count != nc.fuss_catalan(1, n):
             return _record(False, abs(count - nc.fuss_catalan(1, n)), 0, f"NC({n}) = {count}")
-    return _record(True, 0.0, 0, "NC(n) counts are Catalan for n <= 10")
+    return _record(True, 0.0, 0, "NC(n) counts equal the enumeration for n <= 10 and are "
+                                 f"Catalan for n <= {nc.ENUMERATION_BOUND}")
 
 
 @_register("nc-pairing-counts", "combinatorial")
@@ -263,7 +266,7 @@ def _check_multilinearity():
 
 @_register("psd-binomial-identity", "combinatorial")
 def _check_psd_binomial():
-    for k in range(0, 4):
+    for k in range(0, 7):
         for t in range(0, k + 1):
             got = psd.profile_count(k, (3 * k + 1, t))
             want = math.comb(k, t) * nc.fuss_catalan(2, k)
@@ -275,30 +278,55 @@ def _check_psd_binomial():
         if max(profile[0] for profile in table) != 3 * k + 1:
             return _record(False, 1, 0, f"chord count of a diagram exceeds 3k+1 at k={k}")
     return _record(True, 0.0, 0, "Pi_{k+1}(3k+1,t) = binom(k,t) C2_k, Pi = 0 for t > k and "
-                                 "at most 3k+1 2-gons, k <= 3")
+                                 "at most 3k+1 2-gons, k <= 6")
 
 
 @_register("psd-quadrangulation-counts", "combinatorial")
 def _check_quadrangulations():
     expected = [1, 1, 3, 12, 55, 273]
     for k in range(0, 6):
-        got = psd.count_quadrangulations(k)  # segment count asserted inside
+        got = psd.count_quadrangulations(k)
         if got != expected[k] or got != nc.fuss_catalan(2, k):
             return _record(False, abs(got - expected[k]), 0, f"k={k}: {got}")
+        tilings = psd.quadrangulations(k)
+        if len(tilings) != got:
+            return _record(False, abs(len(tilings) - got), 0, f"k={k}: {len(tilings)} tilings built")
+        if any(len(segments) != 3 * k + 1 for segments in tilings):
+            return _record(False, 1, 0, f"k={k}: a tiling without 3k+1 segments")
     return _record(True, 0.0, 0, f"4-gon tiling counts {expected} are C2_k with 3k+1 segments, k <= 5")
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated_profile_table(k):
+    """The oracle of ``psd.profile_table``: profiles tallied over every built diagram."""
+    table: dict[tuple[int, ...], int] = {}
+    for diagram in psd.enumerate_psd(k):
+        table[diagram.profile()] = table.get(diagram.profile(), 0) + 1
+    return table
 
 
 @_register("psd-big-polygon-bound", "combinatorial")
 def _check_big_polygon_bound():
-    for k in range(2, 4):
-        for diagram in psd.enumerate_psd(k):
-            profile = diagram.profile()
+    enumerated = [(k, list(_enumerated_profile_table(k))) for k in range(2, 4)]
+    counted = [(k, list(psd.profile_table(k))) for k in range(2, 7)]
+    for k, profiles in enumerated + counted:
+        for profile in profiles:
             for ell in range(3, k + 2):
                 if profile[ell - 1] > 0 and profile[0] > 3 * k + 1 - (ell - 2):
                     return _record(
                         False, profile[0], 0, f"k={k}: {profile[0]} 2-gons beside a {2*ell}-gon"
                     )
-    return _record(True, 0.0, 0, "a 2l-gon (l >= 3) forfeits l-2 of the 3k+1 chords, k <= 3")
+    return _record(True, 0.0, 0, "a 2l-gon (l >= 3) forfeits l-2 of the 3k+1 chords: "
+                                 "enumerated diagrams k <= 3, profile tables k <= 6")
+
+
+@_register("psd-profile-recursion-vs-enumeration", "combinatorial")
+def _check_profile_recursion():
+    for k in range(0, 4):
+        if psd.profile_table(k) != _enumerated_profile_table(k):
+            return _record(False, 1, 0, f"k={k}: counted table differs from the enumeration")
+    return _record(True, 0.0, 0, "profile tables counted over arcs equal the enumerated "
+                                 "diagrams profile for profile, k <= 3")
 
 
 @_register("psd-compression-bijection", "combinatorial")
@@ -337,15 +365,17 @@ def _check_bijection():
 @_register("psd-polynomial-vs-lagrange", "combinatorial")
 def _check_psd_vs_lagrange():
     for model in (models.circular_model(), models.two_atom_model()):
-        for k in range(0, 4):
+        for k in range(0, 7):
             sym = se.negative_moments_lagrange(model, k)
-            for i in range(50):
-                lam = Fraction(21 + i, 20)  # 50 rational points in (1, 4]
+            # 50 rational points in (1, 4] for k <= 3, every fifth of them above
+            for i in range(0, 50, 1 if k <= 3 else 5):
+                lam = Fraction(21 + i, 20)
                 a = psd.negative_moment_psd(model, lam, k)
                 b = sym[k].evaluate(se.symbolic_model_assignment(model, lam))
                 if a != b:
                     return _record(False, 1, 0, f"{model.name} k={k} lam={lam}: {a} != {b}")
-    return _record(True, 0.0, 0, "diagram route equals inversion route exactly, k <= 3, 50 points")
+    return _record(True, 0.0, 0, "diagram route equals inversion route exactly: "
+                                 "50 points for k <= 3, 10 points for k = 4..6")
 
 
 def _cleared_diagram_polynomial(poly):

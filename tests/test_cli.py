@@ -9,6 +9,7 @@ import pytest
 from freeprob import cli
 from freeprob import circular as ci
 from freeprob import cumulants as cu
+from freeprob import psd
 from freeprob import series as se
 
 
@@ -179,6 +180,17 @@ class TestMomentsCommand:
             assert code == 0
             assert [row.split("\t")[2] for row in out.strip().splitlines()[1:]] == want
 
+    def test_psd_route_above_the_enumeration_bound(self, capsys):
+        rows = {}
+        for route in ("psd", "lagrange"):
+            code, out, _ = run_cli(
+                capsys, "moments", "--route", route, "--lambda", "3/2", "--k", "5",
+            )
+            assert code == 0
+            rows[route] = out.strip().splitlines()
+        assert rows["psd"][0].split("\t")[2] == "psd"
+        assert rows["psd"][1:] == rows["lagrange"][1:]
+
     def test_quadrature_zero_points_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "moments", "--lambda", "2", "--route", "quadrature", "--points", "0",
@@ -235,6 +247,23 @@ class TestCountCommand:
             capsys, "count", "--what", "psd", "--k", "1", "--profile", "4,0"
         )
         assert code == 0 and out.strip() == "1"
+
+    def test_nc_at_the_enumeration_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--what", "nc", "--n", "18")
+        assert code == 0 and out.strip() == "477638700"
+
+    def test_psd_beyond_the_enumeration_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--what", "psd", "--k", "4")
+        assert code == 0 and out.strip() == "6550528"
+
+    @pytest.mark.parametrize("command", [
+        ("count", "--what", "psd"),
+        ("moments", "--route", "psd", "--lambda", "3/2"),
+    ])
+    def test_psd_above_the_profile_bound(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--k", str(psd.PROFILE_K_BOUND + 1))
+        assert code == 2
+        assert "bound" in err and out == ""
 
     def test_bound_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "count", "--what", "nc", "--n", "99")

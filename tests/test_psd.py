@@ -72,6 +72,7 @@ class TestEnumeration:
                     ):
                         count += 1
             assert count == sum(1 for _ in psd.enumerate_psd(k))
+            assert count == sum(psd.profile_table(k).values())
 
     def test_bound_error(self):
         with pytest.raises(psd.DiagramBoundError):
