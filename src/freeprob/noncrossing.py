@@ -6,7 +6,8 @@ equality is partition equality.
 
 Enumeration is by recursive placement of the block containing the least
 element of each region; the brute-force filter over all set partitions is
-kept in the test suite as an independent oracle.
+kept in the test suite as an independent oracle.  ``count_nc`` counts by
+the same decomposition, memoized on region size, and builds nothing.
 """
 
 from __future__ import annotations

@@ -218,10 +218,6 @@ _DIGIT = 16
 _CHORD = 1  # the packed profile of one 2-gon
 
 
-def _polygon_key(vertices: int) -> int:
-    return 1 << (_DIGIT * (vertices // 2 - 1))
-
-
 def _add_into(acc: dict[int, int], gf: dict[int, int], shift: int = 0) -> None:
     for key, count in gf.items():
         acc[key + shift] = acc.get(key + shift, 0) + count
@@ -264,9 +260,10 @@ def _arc_spanned(d: int) -> dict[int, int]:
     out: dict[int, int] = {}
     _add_into(out, _arc_unspanned(d), _CHORD)
     for steps in range(3, d + 1, 2):
-        polygon = _polygon_key(steps + 1)  # steps + 1 vertices
-        _add_into(out, _odd_chains(steps, d), polygon)
-        _add_into(out, _odd_chains(steps, d), polygon + _CHORD)
+        polygon = 1 << (_DIGIT * ((steps - 1) // 2))  # one (steps + 1)-gon
+        chains = _odd_chains(steps, d)
+        _add_into(out, chains, polygon)
+        _add_into(out, chains, polygon + _CHORD)
     return out
 
 
