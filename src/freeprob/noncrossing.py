@@ -6,15 +6,13 @@ equality is partition equality.
 
 Enumeration is by recursive placement of the block containing the least
 element of each region; the brute-force filter over all set partitions is
-kept in the test suite as an independent oracle.  ``count_nc`` counts by
-the same decomposition, memoized on region size, and builds nothing.
+kept in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -211,29 +209,14 @@ def enumerate_nc(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[SetPartitio
         yield SetPartition(n, tuple(blocks))
 
 
-def count_nc(n: int, bound: int = ENUMERATION_BOUND) -> int:
-    """|NC(n)|, counted by the decomposition ``enumerate_nc`` builds with;
-    verify checks it against that enumeration and against Catalan(n)."""
+def count_nc(n: int) -> int:
+    """|NC(n)| = Catalan(n), behind the enumeration bound; verify checks the
+    enumeration against it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > bound:
-        raise EnumerationBoundError(f"NC({n}) exceeds enumeration bound {bound}")
-    return _region_count(n)
-
-
-@lru_cache(maxsize=None)
-def _region_count(size: int) -> int:
-    """Non-crossing partitions of a region of ``size`` points: the block of
-    the least point takes b points, and the b gaps after them hold regions
-    of the other size - b points."""
-    if size == 0:
-        return 1
-    total = 0
-    gaps = [1] + [0] * (size - 1)  # gaps[r]: fillings of the gaps so far with r points
-    for b in range(1, size + 1):
-        gaps = [sum(gaps[r - g] * _region_count(g) for g in range(r + 1)) for r in range(size - b + 1)]
-        total += gaps[size - b]
-    return total
+    if n > ENUMERATION_BOUND:
+        raise EnumerationBoundError(f"NC({n}) exceeds enumeration bound {ENUMERATION_BOUND}")
+    return catalan(n)
 
 
 def enumerate_nc_blocks(points: Sequence[int], allowed_sizes=None) -> Iterator[list[tuple[int, ...]]]:

@@ -308,40 +308,23 @@ def profile_count(k: int, profile) -> int:
 
 
 def count_quadrangulations(k: int, bound: int = QUADRANGULATION_K_BOUND) -> int:
-    """Number of tilings of the 2(k+1)-gon into 4-gons.
-
-    Counted by the recursion ``quadrangulations`` builds its tilings with,
-    memoized on region size; verify checks it against the built tilings and
-    against the Fuss-Catalan number C^(2)_k.
+    """Number of tilings of the 2(k+1)-gon into 4-gons: the Fuss-Catalan
+    number C^(2)_k.  verify checks it against the tilings ``quadrangulations``
+    builds, each with 3k+1 segments (boundary edges included).
     """
-    _check_quadrangulation_k(k, bound)
-    return _region_tilings(2 * (k + 1))
-
-
-@lru_cache(maxsize=None)
-def _region_tilings(m: int) -> int:
-    """4-gon tilings of a region with m vertices: the quad on its first edge
-    has corners i < j, which leave sub-regions of i, j - i + 1 and m - j + 1
-    vertices."""
-    if m == 2:
-        return 1
-    return sum(
-        _region_tilings(i) * _region_tilings(j - i + 1) * _region_tilings(m - j + 1)
-        for i in range(2, m - 1, 2)
-        for j in range(i + 1, m, 2)
-    )
-
-
-def _check_quadrangulation_k(k: int, bound: int) -> None:
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > bound:
         raise DiagramBoundError(f"quadrangulation bound is k <= {bound}")
+    return nc.fuss_catalan(2, k)
 
 
 def quadrangulations(k: int, bound: int = QUADRANGULATION_K_BOUND) -> list[frozenset[Polygon]]:
     """All 4-gon tilings of the 2(k+1)-gon, each as its set of segments."""
-    _check_quadrangulation_k(k, bound)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k > bound:
+        raise DiagramBoundError(f"quadrangulation bound is k <= {bound}")
     n_vertices = 2 * (k + 1)
     if k == 0:
         return [frozenset({(0, 1)})]
