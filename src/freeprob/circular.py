@@ -26,6 +26,8 @@ from . import measures as me
 from . import series as se
 from .ring import Poly
 
+TRACKING_STEPS = 48  # root-tracking steps from the far anchor to w in cauchy_transform
+
 
 class PoleError(ValueError):
     """K-transform evaluated at one of its poles."""
@@ -134,7 +136,7 @@ def _nearest(roots: np.ndarray, target: complex) -> complex:
     return roots[int(np.argmin(np.abs(roots - target)))]
 
 
-def cauchy_transform(w: complex, lam: float, steps: int = 48) -> complex:
+def cauchy_transform(w: complex, lam: float) -> complex:
     """G_m(w) for w off the support [s-, s+].
 
     Branch selection: start at an anchor far from the support where the root
@@ -155,8 +157,8 @@ def cauchy_transform(w: complex, lam: float, steps: int = 48) -> complex:
     sign = 1.0 if w.imag >= 0 else -1.0
     anchor = complex(w.real, sign * far)
     z = _nearest(_cubic_roots(spec.m, anchor), 1.0 / anchor)
-    for i in range(1, steps + 1):
-        frac = 1.0 - (1.0 - i / steps) ** 2  # refine toward the endpoint
+    for i in range(1, TRACKING_STEPS + 1):
+        frac = 1.0 - (1.0 - i / TRACKING_STEPS) ** 2  # refine toward the endpoint
         point = anchor + (w - anchor) * frac
         z = _nearest(_cubic_roots(spec.m, point), z)
     return z

@@ -109,11 +109,11 @@ def kappa_pi(cf: CumulantFunctional, blocks, word: Sequence):
     return prod
 
 
-def moment_from_cumulants(cf: CumulantFunctional, word: Sequence, bound: int = nc.ENUMERATION_BOUND):
+def moment_from_cumulants(cf: CumulantFunctional, word: Sequence):
     """Mixed moment as the sum of kappa_pi over all of NC(len(word))."""
     n = len(word)
-    if n > bound:
-        raise nc.EnumerationBoundError(f"word length {n} beyond enumeration bound {bound}")
+    if n > nc.ENUMERATION_BOUND:
+        raise nc.EnumerationBoundError(f"word length {n} beyond enumeration bound {nc.ENUMERATION_BOUND}")
     allowed = [s for s in cf.nonzero_orders if s <= n]
     total = 0
     for blocks in nc.enumerate_nc_blocks(range(1, n + 1), allowed):
@@ -121,61 +121,46 @@ def moment_from_cumulants(cf: CumulantFunctional, word: Sequence, bound: int = n
     return total
 
 
-def _gap_products(moments_with_unit, s, total):
-    """Sum over compositions total = g_1+...+g_s (g_i >= 0) of prod m_{g_i}."""
-    # moments_with_unit[0] = 1; dynamic program over the s gaps
-    table = [0] * (total + 1)
-    table[0] = 1
-    for _ in range(s):
-        new = [0] * (total + 1)
-        for acc in range(total + 1):
-            val = table[acc]
-            if val == 0:
-                continue
-            for g in range(0, total - acc + 1):
-                m = moments_with_unit[g]
-                if m == 0:
-                    continue
-                new[acc + g] = new[acc + g] + val * m
-        table = new
-    return table[total]
+def _first_block_rows(m: list):
+    """Yield, for n = 1, 2, ..., the row [z^{n-s}] M(z)^s, s = 1 .. n, where
+    M(z) = sum_j m_j z^j (m_0 = 1); row n reads only m_0 .. m_{n-1}, so the
+    caller may append m_n before asking for the next row.  The powers M^s are
+    kept running, one new coefficient each per row: O(K^3) for K rows."""
+    powers: list[list] = []  # powers[s - 2] = [z^0 ..] M^s
+    for n in itertools.count(1):
+        if n > 1:
+            powers.append([])
+        row, below = [m[n - 1]], m
+        for s, power in enumerate(powers, start=2):
+            j = n - s
+            power.append(sum(m[i] * below[j - i] for i in range(j + 1) if m[i] != 0))
+            row.append(power[-1])
+            below = power
+        yield row
 
 
 def free_moments_from_cumulants(kappas: Sequence) -> list:
     """Moments m_1..m_K of a single variable with free cumulants kappa_1..kappa_K.
 
-    Uses the first-block recursion m_n = sum_s kappa_s * sum over gap
-    compositions of products of lower moments; exact in any ring.
+    First-block identity M(z) = 1 + sum_s kappa_s z^s M(z)^s: the first block
+    of a partition in NC(n) has some size s and its s gaps hold arbitrary
+    partitions, so m_n = sum_s kappa_s [z^{n-s}] M(z)^s; exact in any ring.
     """
-    K = len(kappas)
     m = [1]  # m_0
-    for n in range(1, K + 1):
-        total = 0
-        for s in range(1, n + 1):
-            k = kappas[s - 1]
-            if k == 0:
-                continue
-            total = total + k * _gap_products(m, s, n - s)
-        m.append(total)
+    for _, row in zip(kappas, _first_block_rows(m)):
+        m.append(sum(k * c for k, c in zip(kappas, row) if k != 0))
     return m[1:]
 
 
 def cumulants_from_moments(moments: Sequence) -> list:
-    """Free cumulants kappa_1..kappa_K from moments m_1..m_K (triangular solve).
+    """Free cumulants kappa_1..kappa_K from moments m_1..m_K: the same
+    identity solved for its s = n term, kappa_n.
 
     Round-trips exactly with free_moments_from_cumulants.
     """
-    K = len(moments)
     kappas: list = []
-    m = [1] + list(moments)
-    for n in range(1, K + 1):
-        rest = 0
-        for s in range(1, n):
-            k = kappas[s - 1]
-            if k == 0:
-                continue
-            rest = rest + k * _gap_products(m, s, n - s)
-        kappas.append(moments[n - 1] - rest)
+    for moment, row in zip(moments, _first_block_rows([1] + list(moments))):
+        kappas.append(moment - sum(k * c for k, c in zip(kappas, row) if k != 0))
     return kappas
 
 
@@ -205,8 +190,8 @@ class OperatorModel:
     """An R-diagonal operator described by its determining cumulants.
 
     alpha[l-1] holds the order-2l alternating cumulant alpha_l of the
-    operator; the normalization fixes alpha_1 = 1.  Optionally carries a
-    spectral measure for a a*.
+    operator; the normalization fixes alpha_1 = 1.  ``alpha_at`` reads alpha
+    past the stored order.  Optionally carries a spectral measure for a a*.
 
     alpha is also the even free-cumulant sequence of mu, the symmetrization
     of |a|: kappa_{2n}(mu) = alpha_n (Nica-Speicher, Lecture 15;
@@ -224,7 +209,7 @@ class OperatorModel:
     name: str
     alpha: tuple[Fraction, ...]
     aa_star_measure: object | None = None
-    r_mu_closed_form: bool = False  # alpha is zero past its stored order: R_mu(z) = z
+    r_mu_closed_form: bool = False  # alpha is zero past its stored order
 
     def __post_init__(self):
         self.alpha = tuple(Fraction(a) for a in self.alpha)
@@ -238,9 +223,7 @@ class OperatorModel:
     @property
     def v(self) -> Fraction:
         """Fourth-moment variance statistic: ||a||_4^4 - 1 = alpha_2 + 1."""
-        if len(self.alpha) < 2:
-            raise ValueError("model supplies no alpha_2")
-        return self.alpha[1] + 1
+        return self.alpha_at(2) + 1
 
     @cached_property
     def r_mu_floats(self) -> tuple[float, ...]:
@@ -251,10 +234,14 @@ class OperatorModel:
             floats.pop()
         return tuple(floats)
 
-    def alpha_at(self, ell: int) -> Fraction:
-        if ell < 1 or ell > len(self.alpha):
-            raise OrderCapError(f"alpha_{ell} not supplied (order {len(self.alpha)})")
-        return self.alpha[ell - 1]
+    def alpha_at(self, n: int) -> Fraction:
+        """alpha_n: the stored value; 0 past the stored order when
+        ``r_mu_closed_form`` is set; OrderCapError otherwise."""
+        if 1 <= n <= len(self.alpha):
+            return self.alpha[n - 1]
+        if n > len(self.alpha) and self.r_mu_closed_form:
+            return Fraction(0)
+        raise OrderCapError(f"alpha_{n} not supplied (order {len(self.alpha)})")
 
     def aa_star_moments(self) -> list[Fraction]:
         """phi((a a*)^n) for n = 1..order.
@@ -325,7 +312,7 @@ def _shift_letters():
     return (a1,), ("c", "c*")
 
 
-def circular_shift_cumulants(max_n: int, bound: int = nc.ENUMERATION_BOUND) -> list[Poly]:
+def circular_shift_cumulants(max_n: int) -> list[Poly]:
     """Exact cumulant sequence of |lam - c|^2 as polynomials in lam.
 
     kappa_n is assembled by expanding multilinearly over all choice strings in
@@ -336,7 +323,7 @@ def circular_shift_cumulants(max_n: int, bound: int = nc.ENUMERATION_BOUND) -> l
     out: list[Poly] = []
     for n in range(1, max_n + 1):
         total = sum(
-            (shift_string_cumulant(string, bound) for string in itertools.product((1, 2), repeat=n)),
+            (shift_string_cumulant(string) for string in itertools.product((1, 2), repeat=n)),
             Poly(),
         )
         if n == 1:
@@ -345,7 +332,7 @@ def circular_shift_cumulants(max_n: int, bound: int = nc.ENUMERATION_BOUND) -> l
     return out
 
 
-def shift_string_cumulant(string: Sequence[int], bound: int = nc.ENUMERATION_BOUND) -> Poly:
+def shift_string_cumulant(string: Sequence[int]) -> Poly:
     """Single choice-string contribution kappa_n[a_{i_1}, ..., a_{i_n}] in the
     circular-shift expansion; ``string`` entries are 1 or 2."""
     cf = CumulantFunctional.circular(max_order=2 * len(string))
@@ -356,6 +343,6 @@ def shift_string_cumulant(string: Sequence[int], bound: int = nc.ENUMERATION_BOU
         part = word2 if b == 2 else word1
         word.extend(part)
         sizes.append(len(part))
-    if len(word) > bound:
+    if len(word) > nc.ENUMERATION_BOUND:
         raise nc.EnumerationBoundError("expansion exceeds enumeration bound")
     return Poly.coerce(product_cumulant(nc.IntervalPartition.of(sizes), cf, word))

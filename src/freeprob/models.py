@@ -2,8 +2,9 @@
 
 Three stock models exercise the distinct regimes:
 
-* ``circular``  -- alpha = (1, 0, 0, ...), modulus is semicircular so its
-  R-transform is exactly z; a a* is free Poisson.  v = 1.
+* ``circular``  -- alpha = (1, 0, 0, ...), stored as (1,) with the zero tail
+  flagged; the modulus is semicircular so its R-transform is exactly z; a a*
+  is free Poisson.  v = 1.
 * ``haar``      -- a a* = delta_1, v = 0: the degenerate case the norm
   asymptotics exclude.
 * ``two-atom``  -- a a* = (delta_0 + delta_2)/2: same v = 1 as circular but
@@ -23,12 +24,11 @@ DEFAULT_MODEL_ORDER = 8
 BUILTIN_NAMES = ("circular", "haar", "two-atom")
 
 
-def circular_model(order: int = DEFAULT_MODEL_ORDER, measure_points: int = 4096) -> cu.OperatorModel:
-    alpha = [Fraction(1)] + [Fraction(0)] * (order - 1)  # semicircular modulus
+def circular_model() -> cu.OperatorModel:
     return cu.OperatorModel(
         name="circular",
-        alpha=tuple(alpha),
-        aa_star_measure=me.free_poisson(measure_points),
+        alpha=(Fraction(1),),  # semicircular modulus: alpha_n = 0 for n >= 2
+        aa_star_measure=me.free_poisson(),
         r_mu_closed_form=True,
     )
 
@@ -55,12 +55,12 @@ def two_atom_model(order: int = DEFAULT_MODEL_ORDER) -> cu.OperatorModel:
 _BUILDERS = {"circular": circular_model, "haar": haar_model, "two-atom": two_atom_model}
 
 
-def builtin_model(name: str, order: int = DEFAULT_MODEL_ORDER) -> cu.OperatorModel:
+def builtin_model(name: str) -> cu.OperatorModel:
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown builtin model {name!r}; choose from {BUILTIN_NAMES}")
-    return builder(order)
+    return builder()
 
 
 def _parse_fraction(s) -> Fraction:

@@ -17,6 +17,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 ENUMERATION_BOUND = 18
+PAIRING_BOUND = ENUMERATION_BOUND + 4
 
 
 class EnumerationBoundError(ValueError):
@@ -197,12 +198,12 @@ def _product_of_regions(block, regions, allowed_sizes, idx=0, acc=None):
         yield from _product_of_regions(block, regions, allowed_sizes, idx + 1, acc + sub)
 
 
-def enumerate_nc(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[SetPartition]:
+def enumerate_nc(n: int) -> Iterator[SetPartition]:
     """All of NC(n), each exactly once.  Catalan(n) partitions."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > bound:
-        raise EnumerationBoundError(f"NC({n}) exceeds enumeration bound {bound}")
+    if n > ENUMERATION_BOUND:
+        raise EnumerationBoundError(f"NC({n}) exceeds enumeration bound {ENUMERATION_BOUND}")
     # _regions_noncrossing emits canonical form already (each block ascending,
     # the block of a region's least point first, then the gap regions in order)
     for blocks in _regions_noncrossing(tuple(range(1, n + 1))):
@@ -225,10 +226,10 @@ def enumerate_nc_blocks(points: Sequence[int], allowed_sizes=None) -> Iterator[l
     yield from _regions_noncrossing(tuple(points), allowed_sizes)
 
 
-def enumerate_nc_pairings(n: int, bound: int = ENUMERATION_BOUND + 4) -> Iterator[SetPartition]:
+def enumerate_nc_pairings(n: int) -> Iterator[SetPartition]:
     """All non-crossing pairings of {1..n}; empty for odd n."""
-    if n > bound:
-        raise EnumerationBoundError(f"NC2({n}) exceeds enumeration bound {bound}")
+    if n > PAIRING_BOUND:
+        raise EnumerationBoundError(f"NC2({n}) exceeds enumeration bound {PAIRING_BOUND}")
     if n % 2 != 0:
         return
     def rec(points: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:

@@ -174,12 +174,12 @@ def _diagram_universe(k: int) -> tuple[list[Polygon], list[set[int]]]:
     return polys, compat
 
 
-def enumerate_psd(k: int, bound: int = ENUMERATION_K_BOUND):
+def enumerate_psd(k: int):
     """All partition structure diagrams on 2(k+1) vertices, empty one included."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > bound:
-        raise DiagramBoundError(f"diagram enumeration bound is k <= {bound}")
+    if k > ENUMERATION_K_BOUND:
+        raise DiagramBoundError(f"diagram enumeration bound is k <= {ENUMERATION_K_BOUND}")
     polys, compat = _diagram_universe(k)
     n = len(polys)
     chosen: list[int] = []
@@ -295,7 +295,8 @@ def profile_table(k: int) -> dict[tuple[int, ...], int]:
 
 
 def profile_count(k: int, profile) -> int:
-    """Number of diagrams with s_1 2-gons, s_2 4-gons, ...; exact by enumeration.
+    """Number of diagrams with s_1 2-gons, s_2 4-gons, ...; read from the
+    counted ``profile_table``.
 
     Short profiles are padded with zeros.
     """
@@ -307,24 +308,24 @@ def profile_count(k: int, profile) -> int:
     return profile_table(k).get(padded, 0)
 
 
-def count_quadrangulations(k: int, bound: int = QUADRANGULATION_K_BOUND) -> int:
+def count_quadrangulations(k: int) -> int:
     """Number of tilings of the 2(k+1)-gon into 4-gons: the Fuss-Catalan
     number C^(2)_k.  verify checks it against the tilings ``quadrangulations``
     builds, each with 3k+1 segments (boundary edges included).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > bound:
-        raise DiagramBoundError(f"quadrangulation bound is k <= {bound}")
+    if k > QUADRANGULATION_K_BOUND:
+        raise DiagramBoundError(f"quadrangulation bound is k <= {QUADRANGULATION_K_BOUND}")
     return nc.fuss_catalan(2, k)
 
 
-def quadrangulations(k: int, bound: int = QUADRANGULATION_K_BOUND) -> list[frozenset[Polygon]]:
+def quadrangulations(k: int) -> list[frozenset[Polygon]]:
     """All 4-gon tilings of the 2(k+1)-gon, each as its set of segments."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > bound:
-        raise DiagramBoundError(f"quadrangulation bound is k <= {bound}")
+    if k > QUADRANGULATION_K_BOUND:
+        raise DiagramBoundError(f"quadrangulation bound is k <= {QUADRANGULATION_K_BOUND}")
     n_vertices = 2 * (k + 1)
     if k == 0:
         return [frozenset({(0, 1)})]

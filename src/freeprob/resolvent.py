@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import noncrossing as nc
+from .cumulants import OrderCapError
 
 SQRT_27_OVER_32 = math.sqrt(27.0 / 32.0)
 TRUNCATED_LAMBDA_GUARD = 1e-4
@@ -168,12 +169,14 @@ def rescaled_series_derivative(model, lam: float, x: float) -> float:
 
 
 def variance_v(model) -> float:
-    """v = ||a||_4^4 - 1; from alpha_2 (equivalently the measure's 2nd moment)."""
-    if len(model.alpha) >= 2:
-        return float(model.alpha[1] + 1)
-    if model.aa_star_measure is not None:
+    """v = ||a||_4^4 - 1; from alpha_2, or from the measure's 2nd moment when
+    the model cannot give alpha_2."""
+    try:
+        return float(model.v)
+    except OrderCapError:
+        if model.aa_star_measure is None:
+            raise ValueError("model carries no fourth-moment data")
         return model.aa_star_measure.moment(2) - 1.0
-    raise ValueError("model carries no fourth-moment data")
 
 
 def find_critical_point(model, lam: float) -> float:

@@ -395,14 +395,11 @@ def negative_moments_lagrange(model, k: int, lam=None):
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    need = k + 1
-    kappas = _mu_cumulants_symbols(model, need) if lam is None else _mu_cumulants_exact(model, need)
     if lam is None:
-        lam_sq = LAM_SQ
-    elif isinstance(lam, float):
-        lam_sq = lam * lam
+        kappas, lam_sq = _mu_cumulants_symbols(model, k + 1), LAM_SQ
     else:
-        lam_sq = Fraction(lam) ** 2
+        kappas = [model.alpha_at(n) for n in range(1, k + 2)]
+        lam_sq = lam * lam if isinstance(lam, float) else Fraction(lam) ** 2
     scaled, big_c = solve_inverse_equation(kappas, lam_sq, k)
     m = _coerce_scalar(lam_sq) - 1
     out = []
@@ -418,24 +415,15 @@ def negative_moments_lagrange(model, k: int, lam=None):
     return out
 
 
-def _mu_cumulants_exact(model, count: int) -> list:
-    """kappa_2(mu) .. kappa_2count(mu), i.e. alpha_1 .. alpha_count."""
-    if model.r_mu_closed_form:
-        return [Fraction(1)] + [Fraction(0)] * (count - 1)
-    return [model.alpha_at(n) for n in range(1, count + 1)]
-
-
 def _mu_cumulants_symbols(model, count: int) -> list:
     """kappa_2 = 1, kappa_4 = v - 1, higher ones kappa_2n(mu) = alpha_n named
-    a3, a4, ... when the model supplies them (their exact values substitute at
-    evaluation time)."""
+    a3, a4, ... for each alpha the model stores (their exact values
+    substitute at evaluation time), and ``model.alpha_at(n)`` past that."""
     out: list = [Fraction(1)]
     if count >= 2:
         out.append(Poly.var("v") - 1)
     for n in range(3, count + 1):
-        if not model.r_mu_closed_form:
-            model.alpha_at(n)  # raises if unavailable
-        out.append(Poly.var(f"a{n}"))
+        out.append(Poly.var(f"a{n}") if n <= model.order else model.alpha_at(n))
     return out
 
 

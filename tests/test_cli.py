@@ -180,11 +180,12 @@ class TestMomentsCommand:
             assert code == 0
             assert [row.split("\t")[2] for row in out.strip().splitlines()[1:]] == want
 
-    def test_psd_route_above_the_enumeration_bound(self, capsys):
+    @pytest.mark.parametrize("k", [5, 8])  # 8 reads alpha_9, past any stored order
+    def test_psd_route_above_the_enumeration_bound(self, capsys, k):
         rows = {}
         for route in ("psd", "lagrange"):
             code, out, _ = run_cli(
-                capsys, "moments", "--route", route, "--lambda", "3/2", "--k", "5",
+                capsys, "moments", "--route", route, "--lambda", "3/2", "--k", str(k),
             )
             assert code == 0
             rows[route] = out.strip().splitlines()

@@ -56,7 +56,7 @@ class TestMomentFromCumulants:
     def test_resource_error(self):
         cf = cu.CumulantFunctional.circular()
         with pytest.raises(nc.EnumerationBoundError):
-            cu.moment_from_cumulants(cf, ["c", "c*"] * 3, bound=4)
+            cu.moment_from_cumulants(cf, ["c", "c*"] * (nc.ENUMERATION_BOUND // 2 + 1))
 
     def test_order_cap(self):
         cf = cu.CumulantFunctional.from_univariate("x", [1, 1], max_order=2)
