@@ -11,11 +11,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage / precondition error.
 Numbers serialize with 17 significant digits; exact rationals as 'p/q'.
+
+``main(argv)`` can be called again and again in one process (the benchmark
+worker and the tests do): the argparse tree is built on the first call and
+reused, since ``parse_args`` keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -181,6 +186,7 @@ def cmd_verify(args) -> int:
     return 0 if report["failed"] == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freeprob",
@@ -227,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

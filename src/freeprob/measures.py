@@ -9,6 +9,7 @@ geometrically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,12 +94,17 @@ def chebyshev_grid(lo: float, hi: float, n: int):
     return grid, weights
 
 
+@functools.cache
 def free_poisson(n_points: int = 4096) -> SpectralMeasure:
     """Free Poisson (rate 1) on [0, 4]: density sqrt((4-t)/t) / (2 pi).
 
     This is the a a* distribution of the standard circular operator; its
-    moments are the Catalan numbers.
+    moments are the Catalan numbers.  Built once per grid size and shared by
+    every caller, so its arrays are read-only.
     """
     grid, weights = chebyshev_grid(0.0, 4.0, n_points)
     density = np.sqrt((4.0 - grid) / grid) / (2.0 * np.pi)
-    return SpectralMeasure.from_density(grid, density, weights, "chebyshev-midpoint")
+    meas = SpectralMeasure.from_density(grid, density, weights, "chebyshev-midpoint")
+    for arr in (meas.grid, meas.density, meas.weights):
+        arr.setflags(write=False)
+    return meas

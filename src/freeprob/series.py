@@ -436,13 +436,22 @@ def symbolic_model_assignment(model, lam) -> dict:
     return assignment
 
 
-def asymptotic_negative_moment(v, k: int, lam) -> float:
-    """Leading-order negative moment C^(2)_k v^k / (lam^2-1)^{3k+1} as lam -> 1."""
+def asymptotic_negative_moment(v, k: int, lam) -> Fraction | float:
+    """Leading-order negative moment C^(2)_k v^k / (lam^2-1)^{3k+1} as lam -> 1.
+
+    Exact at rational lam = p/q, a Fraction assembled from integers and
+    reduced once: ``m = lam^2 - 1 = a/b`` with ``a = p^2 - q^2``, ``b = q^2``
+    (already in lowest terms, as gcd(p, q) = 1) and ``e = 3k + 1`` give
+    ``C^(2)_k v_num^k b^e / (v_den^k a^e)``.  A float lam gives a float.
+    """
     if v <= 0:
         raise ValueError("requires v > 0 (excluded Haar-unitary regime)")
     if lam <= 1:
         raise ValueError("requires lam > 1")
+    e = 3 * k + 1
     if isinstance(lam, float):
-        return nc.fuss_catalan(2, k) * v**k / (lam * lam - 1) ** (3 * k + 1)
-    lam = Fraction(lam)
-    return nc.fuss_catalan(2, k) * Fraction(v) ** k / (lam * lam - 1) ** (3 * k + 1)
+        return nc.fuss_catalan(2, k) * v**k / (lam * lam - 1) ** e
+    v, lam = Fraction(v), Fraction(lam)
+    p, q = lam.numerator, lam.denominator
+    return Fraction(nc.fuss_catalan(2, k) * v.numerator**k * q ** (2 * e),
+                    v.denominator**k * (p * p - q * q) ** e)

@@ -1,11 +1,16 @@
 """CLI behaviour: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import freeprob
 from freeprob import cli
 from freeprob import circular as ci
 from freeprob import cumulants as cu
@@ -318,3 +323,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_reentrant_with_one_parser(self, capsys):
+        moments = ["moments", "--lambda", "3/2", "--k", "4", "--route", "all"]
+        first = run_cli(capsys, *moments)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["moments", "--lambda", "2", "--route", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "moments", "--lambda", "1")
+        assert (code, out) == (2, "") and "lambda must exceed 1" in err
+        assert run_cli(capsys, "count", "--what", "nc", "--n", "6")[:2] == (0, "132\n")
+        again = run_cli(capsys, *moments)
+        assert first[0] == 0 and first[1] and first == again
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parser_is_not_built_at_import(self):
+        src = str(Path(freeprob.__file__).resolve().parent.parent)
+        probe = "import freeprob.cli as c; print(c.build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert done.stdout == "0\n"

@@ -45,6 +45,13 @@ class TestSpectralMeasure:
         for n in range(1, 9):  # circular_model's load check now compares n = 1 only
             assert meas.moment(n) == pytest.approx(nc.catalan(n), rel=1e-10)
 
+    def test_free_poisson_is_shared_read_only(self):
+        meas = me.free_poisson()
+        assert me.free_poisson() is meas
+        for arr in (meas.grid, meas.density, meas.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
     def test_chebyshev_grid_weights(self):
         grid, weights = me.chebyshev_grid(0.0, 2.0, 256)
         assert np.all(np.diff(grid) > 0)
@@ -64,6 +71,11 @@ class TestBuiltinModels:
         assert circular_model.alpha_at(12) == 0
         with pytest.raises(cu.OrderCapError):
             two_atom_model.alpha_at(9)
+
+    def test_circular_models_are_fresh(self):
+        first, second = models.circular_model(), models.circular_model()
+        assert first is not second
+        assert first.aa_star_measure is second.aa_star_measure
 
     def test_haar_alphas_are_signed_catalans(self, haar_model):
         for model in (haar_model, models.haar_model(40)):

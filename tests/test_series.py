@@ -190,6 +190,14 @@ class TestAsymptoticNegativeMoment:
         lam = Fraction(2)
         assert se.asymptotic_negative_moment(Fraction(1), 2, lam) == Fraction(3, 3**7)
 
+    @pytest.mark.parametrize("lam", [Fraction(237, 223), Fraction(7, 5), Fraction(3)])
+    @pytest.mark.parametrize("v", [Fraction(1), Fraction(3, 2), Fraction(7, 3)])
+    def test_equals_the_literal_formula(self, v, lam):
+        for k in range(41):
+            literal = nc.fuss_catalan(2, k) * v**k / (lam**2 - 1) ** (3 * k + 1)
+            got = se.asymptotic_negative_moment(v, k, lam)
+            assert type(got) is Fraction and got == literal
+
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             se.asymptotic_negative_moment(0, 1, 1.5)

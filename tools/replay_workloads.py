@@ -2,8 +2,8 @@
 
 Usage (from the repository root):
 
-    python3 tools/replay_workloads.py --src src --out new.json
     python3 tools/replay_workloads.py --src ../parent/src --out old.json
+    python3 tools/replay_workloads.py --src src --against old.json
 
 Each workload, at seeds 1 and 2 and the request count of ``--seconds 25``,
 gets its request list from ``perfbench/workloads.py`` (the same argv lists
@@ -11,7 +11,9 @@ and model files the benchmark runs) and is replayed in
 one process, in order, so caches are shared as in a benchmark worker.  One
 line per workload and seed gives the request count and a digest of every
 (exit code, stdout, stderr); equal digests on two source trees mean
-byte-identical behaviour.  ``--out`` keeps the records for a diff.
+byte-identical behaviour.  ``--out`` keeps the records for a diff;
+``--against`` compares with records kept that way, prints the first workload,
+seed and request whose (exit code, stdout, stderr) differs, and exits 1.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("spectral", "exact", "models")
 SEEDS = (1, 2)
 SECONDS = 25  # run_seconds in BENCHMARK.json
+FIELDS = ("rc", "stdout", "stderr")
 
 
 def replay(workload: str, seed: int, main) -> list[dict]:
@@ -59,10 +62,29 @@ def replay(workload: str, seed: int, main) -> list[dict]:
     return records
 
 
+def first_difference(old: dict, new: dict) -> str | None:
+    """Where the records in ``new`` first leave the saved ``old`` ones, or None."""
+    for key, records in new.items():
+        workload, seed = key.rsplit("-", 1)
+        saved = old.get(key, [])
+        for i, rec in enumerate(records):
+            if i >= len(saved):
+                return f"{workload} seed {seed} request {i}: not in the saved records"
+            changed = [f for f in FIELDS if saved[i][f] != rec[f]]
+            if changed:
+                return (f"{workload} seed {seed} request {i} {rec['argv']}: "
+                        f"differs in {', '.join(changed)}")
+        if len(saved) > len(records):
+            return f"{workload} seed {seed} request {len(records)}: missing from this replay"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="source tree holding the freeprob package")
     parser.add_argument("--out", help="write every record to this JSON file")
+    parser.add_argument("--against", metavar="OLD.json",
+                        help="compare with records written by --out; exit 1 at a difference")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -81,6 +103,12 @@ def main(argv=None) -> int:
     print(f"all: {sum(map(len, everything.values()))} requests, digest {total.hexdigest()[:16]}")
     if args.out:
         Path(args.out).write_text(json.dumps(everything, indent=1))
+    if args.against:
+        where = first_difference(json.loads(Path(args.against).read_text()), everything)
+        if where:
+            print(f"first difference from {args.against}: {where}")
+            return 1
+        print(f"same records as {args.against}")
     return 0
 
 
