@@ -5,14 +5,17 @@ points t_i = mid - hw*cos(theta_i) at midpoint angles, with weights
 hw*sin(theta_i)*pi/N.  For densities with square-root edge behaviour the
 theta-integrand extends to a smooth periodic function, so this rule converges
 geometrically.
+
+Grid, density and weights are tuples of floats, so a measure can be shared
+without copying; ``integrate`` calls the integrand at each node and sums the
+products with ``math.fsum``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-
-import numpy as np
+import math
+from dataclasses import dataclass
 
 
 @dataclass
@@ -20,20 +23,20 @@ class SpectralMeasure:
     """Probability measure as point atoms plus a sampled density."""
 
     atoms: tuple[tuple[float, float], ...] = ()
-    grid: np.ndarray = field(default_factory=lambda: np.empty(0))
-    density: np.ndarray = field(default_factory=lambda: np.empty(0))
-    weights: np.ndarray = field(default_factory=lambda: np.empty(0))
+    grid: tuple[float, ...] = ()
+    density: tuple[float, ...] = ()
+    weights: tuple[float, ...] = ()
     quadrature: str = "none"
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.density = np.asarray(self.density, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.grid = tuple(map(float, self.grid))
+        self.density = tuple(map(float, self.density))
+        self.weights = tuple(map(float, self.weights))
         if not (len(self.grid) == len(self.density) == len(self.weights)):
             raise ValueError("grid, density, weights must have equal length")
-        if len(self.grid) > 1 and not np.all(np.diff(self.grid) > 0):
+        if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if np.any(self.density < 0):
+        if any(rho < 0 for rho in self.density):
             raise ValueError("density values must be non-negative")
         if any(w < 0 for _, w in self.atoms):
             raise ValueError("atom weights must be non-negative")
@@ -48,8 +51,8 @@ class SpectralMeasure:
 
     def total_mass(self) -> float:
         mass = sum(w for _, w in self.atoms)
-        if len(self.grid):
-            mass += float(np.sum(self.density * self.weights))
+        if self.grid:
+            mass += math.fsum(rho * w for rho, w in zip(self.density, self.weights))
         return mass
 
     def require_probability(self, tol: float = 1e-6) -> "SpectralMeasure":
@@ -59,10 +62,10 @@ class SpectralMeasure:
         return self
 
     def integrate(self, f) -> float:
-        """Integral of f against the measure (vectorized over the grid)."""
+        """Integral of f against the measure; f is called at each node."""
         total = sum(w * f(x) for x, w in self.atoms)
-        if len(self.grid):
-            total += float(np.sum(f(self.grid) * self.density * self.weights))
+        if self.grid:
+            total += math.fsum(f(t) * rho * w for t, rho, w in zip(self.grid, self.density, self.weights))
         return float(total)
 
     def moment(self, p: int) -> float:
@@ -70,27 +73,27 @@ class SpectralMeasure:
 
     def support_min(self) -> float:
         candidates = [x for x, w in self.atoms if w > 0]
-        if len(self.grid):
-            candidates.append(float(self.grid[0]))
+        if self.grid:
+            candidates.append(self.grid[0])
         return min(candidates)
 
     def support_max(self) -> float:
         candidates = [x for x, w in self.atoms if w > 0]
-        if len(self.grid):
-            candidates.append(float(self.grid[-1]))
+        if self.grid:
+            candidates.append(self.grid[-1])
         return max(candidates)
 
 
-def chebyshev_grid(lo: float, hi: float, n: int):
+def chebyshev_grid(lo: float, hi: float, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Midpoint Chebyshev nodes in (lo, hi) with the matching sin-weights."""
     if hi <= lo:
         raise ValueError("need lo < hi")
     if n < 1:
         raise ValueError(f"a grid needs at least 1 point, got {n} points")
-    theta = (np.arange(n) + 0.5) * np.pi / n
+    theta = [(i + 0.5) * math.pi / n for i in range(n)]
     mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    grid = mid - hw * np.cos(theta)
-    weights = hw * np.sin(theta) * np.pi / n
+    grid = tuple(mid - hw * math.cos(th) for th in theta)
+    weights = tuple(hw * math.sin(th) * math.pi / n for th in theta)
     return grid, weights
 
 
@@ -100,11 +103,8 @@ def free_poisson(n_points: int = 4096) -> SpectralMeasure:
 
     This is the a a* distribution of the standard circular operator; its
     moments are the Catalan numbers.  Built once per grid size and shared by
-    every caller, so its arrays are read-only.
+    every caller; its tuples cannot be changed in place.
     """
     grid, weights = chebyshev_grid(0.0, 4.0, n_points)
-    density = np.sqrt((4.0 - grid) / grid) / (2.0 * np.pi)
-    meas = SpectralMeasure.from_density(grid, density, weights, "chebyshev-midpoint")
-    for arr in (meas.grid, meas.density, meas.weights):
-        arr.setflags(write=False)
-    return meas
+    density = [math.sqrt((4.0 - t) / t) / (2.0 * math.pi) for t in grid]
+    return SpectralMeasure.from_density(grid, density, weights, "chebyshev-midpoint")

@@ -18,6 +18,9 @@ from typing import Iterator, Sequence
 
 ENUMERATION_BOUND = 18
 PAIRING_BOUND = ENUMERATION_BOUND + 4
+# count_nc is a closed form; its bound keeps the printed Catalan number under
+# CPython's default 4300-digit int -> str limit (Catalan(7100) has 4269 digits)
+COUNT_BOUND = 7100
 
 
 class EnumerationBoundError(ValueError):
@@ -211,12 +214,12 @@ def enumerate_nc(n: int) -> Iterator[SetPartition]:
 
 
 def count_nc(n: int) -> int:
-    """|NC(n)| = Catalan(n), behind the enumeration bound; verify checks the
-    enumeration against it."""
+    """|NC(n)| = Catalan(n), up to COUNT_BOUND; verify checks the enumeration
+    against it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > ENUMERATION_BOUND:
-        raise EnumerationBoundError(f"NC({n}) exceeds enumeration bound {ENUMERATION_BOUND}")
+    if n > COUNT_BOUND:
+        raise EnumerationBoundError(f"NC({n}) exceeds count bound {COUNT_BOUND}")
     return catalan(n)
 
 

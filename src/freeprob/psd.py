@@ -26,6 +26,9 @@ from .ring import Poly
 ENUMERATION_K_BOUND = 4  # enumerate_psd(4) builds 6,550,528 diagrams in about 16 s
 PROFILE_K_BOUND = 11  # a cold profile_table(11) takes about 0.9 s (2-CPU x86 host)
 QUADRANGULATION_K_BOUND = 6
+# count_quadrangulations is a closed form; its bound keeps the printed number
+# under CPython's default 4300-digit int -> str limit (C^(2)_5100 has 4224)
+QUADRANGULATION_COUNT_K_BOUND = 5100
 
 Polygon = tuple[int, ...]  # sorted vertex indices
 
@@ -315,8 +318,8 @@ def count_quadrangulations(k: int) -> int:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > QUADRANGULATION_K_BOUND:
-        raise DiagramBoundError(f"quadrangulation bound is k <= {QUADRANGULATION_K_BOUND}")
+    if k > QUADRANGULATION_COUNT_K_BOUND:
+        raise DiagramBoundError(f"quadrangulation count bound is k <= {QUADRANGULATION_COUNT_K_BOUND}")
     return nc.fuss_catalan(2, k)
 
 

@@ -5,9 +5,12 @@ the smallest positive support point of the shifted symmetrized modulus is
 (lam^2-1)^{3/2} F(x*) where x* is the unique critical point of F in
 (0, 1/sqrt(v)), so the resolvent norm is the reciprocal.
 
-Root finding is bisection only: the relevant functions come with sign or
+The critical point is found by bisection: F' comes with sign and
 monotonicity guarantees but no useful smoothness bounds, so robustness wins
-over iteration count.
+over iteration count.  The subordination equation is smooth in s and each of
+its evaluations integrates over the whole a a* grid, so it is solved on the
+same kind of bracket by the Illinois rule (modified regula falsi), which keeps
+the sign change and converges superlinearly.
 """
 
 from __future__ import annotations
@@ -64,6 +67,47 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _illinois(f, lo: float, hi: float) -> float:
+    """Root of f on a sign-changing bracket by the Illinois rule.
+
+    Each step replaces one end by the secant point, so the bracket always
+    holds a sign change; an end kept twice in a row has its value halved,
+    which stops regula falsi from stalling on one side.  Like _bisect it runs
+    to float resolution: it stops when the secant point no longer falls
+    strictly inside the bracket, and returns the point of smallest |f| it
+    evaluated.
+    """
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise BracketError(f"no sign change on [{lo}, {hi}]: f = {flo}, {fhi}")
+    kept = 0  # -1 when lo was kept by the last step, +1 when hi was
+    best = min((abs(flo), lo), (abs(fhi), hi))
+    for _ in range(200):
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
+            break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        best = min(best, (abs(fx), x))
+        if (fx > 0) == (flo > 0):
+            lo, flo = x, fx
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
+        else:
+            hi, fhi = x, fx
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+    return best[1]
+
+
 # ---------------------------------------------------------------------------
 # Subordination functions
 # ---------------------------------------------------------------------------
@@ -105,8 +149,7 @@ def solve_subordination(model, lam: float, t: float) -> float:
         hi *= 2.0
     else:
         raise BracketError(f"no bracket for lam={lam}, t={t} within 200 doublings")
-    s_root = _bisect(g, lo, hi)
-    return s_root
+    return _illinois(g, lo, hi)
 
 
 def h_lambda(model, lam: float, t: float) -> float:

@@ -603,27 +603,25 @@ def _check_density():
         worst_mass = max(worst_mass, abs(meas.total_mass() - 1.0))
         # absolute error: at least the relative one, since the mean lam^2 + 1 exceeds 1
         worst_mean = max(worst_mean, abs(meas.moment(1) - (lam * lam + 1)))
-        mid_idx = len(meas.grid) // 2
-        if meas.density[mid_idx] <= 0 or (meas.density < 0).any():
+        grid, rho = meas.grid, meas.density
+        if rho[len(grid) // 2] <= 0 or min(rho) < 0:
             return _record(False, 0.0, 1e-6, f"density negative, or not positive at midpoint, for lam={lam}")
-        peak = meas.density.max()
-        if meas.density[0] > 0.25 * peak or meas.density[-1] > 0.25 * peak:
-            return _record(False, float(max(meas.density[0], meas.density[-1]) / peak),
+        peak = max(rho)
+        if rho[0] > 0.25 * peak or rho[-1] > 0.25 * peak:
+            return _record(False, max(rho[0], rho[-1]) / peak,
                            0.25, f"density does not drop toward the edges at lam={lam}")
         # square-root vanishing: rho(d) ~ c sqrt(d), tested where the grid
         # resolves the edge scale (left-edge scale is s- itself near lam = 1)
-        d_left = meas.grid - spec.s_minus
-        d_right = spec.s_plus - meas.grid
-        checks = [(d_right[-9], d_right[-3], meas.density[-9], meas.density[-3])]
-        if d_left[8] < 0.05 * spec.s_minus:
-            checks.append((d_left[8], d_left[2], meas.density[8], meas.density[2]))
+        checks = [(spec.s_plus - grid[-9], spec.s_plus - grid[-3], rho[-9], rho[-3])]
+        if grid[8] - spec.s_minus < 0.05 * spec.s_minus:
+            checks.append((grid[8] - spec.s_minus, grid[2] - spec.s_minus, rho[8], rho[2]))
         for d_far, d_near, rho_far, rho_near in checks:
             expected = math.sqrt(d_far / d_near)
             got = rho_far / rho_near
             if abs(got / expected - 1.0) > 0.15:
                 return _record(False, abs(got / expected - 1.0), 0.15,
                                f"edge behaviour not square-root at lam={lam}")
-        if meas.grid[0] <= spec.s_minus or meas.grid[-1] >= spec.s_plus:
+        if grid[0] <= spec.s_minus or grid[-1] >= spec.s_plus:
             return _record(False, 0.0, 0.0, "grid leaves the open support interval")
     worst = max(worst_mass, worst_mean)
     return _record(worst < 1e-6, worst, 1e-6, "mass, mean (absolute), positivity, support for 5 lam values")

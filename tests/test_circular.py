@@ -134,6 +134,17 @@ class TestDensity:
         assert abs(meas.total_mass() - 1.0) <= 1e-12
         assert abs(meas.moment(1) / (lam * lam + 1) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n", [24, 512])
+    @pytest.mark.parametrize("lam", [1.01, 1.1, 1.5, 3.0, 10.0])
+    def test_closed_form_matches_companion_roots(self, lam, n):
+        # the closed-form root pair against the eigenvalue oracle at every
+        # node; the worst node (next to an edge) differs by about 1e-10
+        meas = ci.density(lam, n)
+        m = ci.CircularSpectrum.at(lam).m
+        for t, rho in zip(meas.grid, meas.density):
+            oracle = max(abs(z.imag) for z in ci._cubic_roots(m, t)) / math.pi
+            assert rho == pytest.approx(oracle, rel=2e-10)
+
     @pytest.mark.parametrize("lam", [1.5, 2.0, 10.0])
     def test_matches_continuation_just_above_axis(self, lam):
         # independent oracle: the continued Cauchy transform a distance

@@ -14,6 +14,8 @@ import freeprob
 from freeprob import cli
 from freeprob import circular as ci
 from freeprob import cumulants as cu
+from freeprob import models
+from freeprob import noncrossing as nc
 from freeprob import psd
 from freeprob import series as se
 
@@ -272,8 +274,20 @@ class TestCountCommand:
         assert "bound" in err and out == ""
 
     def test_bound_exceeded(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--what", "nc", "--n", "99")
+        code, _, err = run_cli(capsys, "count", "--what", "nc", "--n", str(nc.COUNT_BOUND + 1))
         assert code == 2
+
+    @pytest.mark.parametrize("what, flag, bound, count", [
+        ("nc", "--n", nc.COUNT_BOUND, nc.catalan),
+        ("tilings", "--k", psd.QUADRANGULATION_COUNT_K_BOUND, lambda k: nc.fuss_catalan(2, k)),
+    ])
+    def test_closed_form_count_bound(self, capsys, what, flag, bound, count):
+        # each bound keeps the printed integer under the interpreter's
+        # default 4300-digit int -> str limit
+        code, out, _ = run_cli(capsys, "count", "--what", what, flag, str(bound))
+        assert code == 0 and out == f"{count(bound)}\n"
+        code, out, err = run_cli(capsys, "count", "--what", what, flag, str(bound + 1))
+        assert (code, out) == (2, "") and "count bound" in err
 
     def test_missing_argument(self, capsys):
         code, _, _ = run_cli(capsys, "count", "--what", "nc")
@@ -344,3 +358,35 @@ class TestParser:
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
         assert done.stdout == "0\n"
+
+    def test_numpy_loads_only_for_verify(self, tmp_path):
+        two_atom = models.two_atom_model()
+        path = tmp_path / "two-atom.json"
+        path.write_text(json.dumps({
+            "name": "json-two-atom",
+            "alpha": [str(a) for a in two_atom.alpha],
+            "aa_star_measure": {"atoms": [{"x": x, "w": w} for x, w in two_atom.aa_star_measure.atoms]},
+        }))
+        runs = [
+            ["density", "--lambda", "2.3", "--points", "40"],
+            ["density", "--lambda", "1.5", "--points", "40", "--inverse"],
+            ["moments", "--lambda", "3/2", "--k", "4", "--route", "lagrange"],
+            ["moments", "--lambda", "3/2", "--k", "4", "--route", "psd"],
+            ["moments", "--lambda", "3/2", "--k", "4", "--route", "quadrature", "--points", "80"],
+            ["norm", "--lambda-start", "1.01", "--lambda-end", "3", "--steps", "5"],
+            ["norm", "--model", str(path), "--lambda-start", "1.05", "--lambda-end", "1.2", "--steps", "3"],
+            ["count", "--what", "nc", "--n", "9"],
+            ["count", "--what", "tilings", "--k", "4"],
+            ["count", "--what", "psd", "--k", "2"],
+        ]
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from freeprob.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {runs!r}]\n"
+            "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+        )
+        src = str(Path(freeprob.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert json.loads(done.stdout) == [[0] * len(runs), False]

@@ -49,11 +49,12 @@ class TestSpectralMeasure:
         meas = me.free_poisson()
         assert me.free_poisson() is meas
         for arr in (meas.grid, meas.density, meas.weights):
-            with pytest.raises(ValueError, match="read-only"):
+            with pytest.raises(TypeError):
                 arr[0] = 1.0
 
     def test_chebyshev_grid_weights(self):
         grid, weights = me.chebyshev_grid(0.0, 2.0, 256)
+        grid = np.asarray(grid)
         assert np.all(np.diff(grid) > 0)
         assert 0.0 < grid[0] and grid[-1] < 2.0
         # sin-weights integrate the semicircle shape exactly-ish
@@ -194,6 +195,7 @@ class TestModelSpecJson:
     def test_density_grid_measure(self):
         # user-supplied quadrature grid for a a*: a crude free Poisson stand-in
         grid, weights = me.chebyshev_grid(0.0, 4.0, 512)
+        grid = np.asarray(grid)
         rho = np.sqrt((4.0 - grid) / grid) / (2.0 * np.pi)
         spec = {
             "name": "gridded",
