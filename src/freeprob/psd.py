@@ -524,20 +524,3 @@ def negative_moment_psd(model, lam, k: int):
     if lam_sq <= 1:
         raise ValueError("requires lam > 1")
     return _diagram_sum(k, Fraction(1) / (lam_sq - 1), Fraction(1) / lam_sq, alphas)
-
-
-def moment_polynomial_json(poly: Poly) -> list:
-    """Serialize a moment polynomial as (x-exp, y-exp, 'p/q') triples.
-
-    Only valid for polynomials with purely rational coefficients (exact
-    alphas substituted).
-    """
-    out = []
-    for mono, coeff in poly.terms.items():
-        d = dict(mono)
-        extra = [name for name in d if name not in ("x", "y")]
-        if extra:
-            raise ValueError(f"symbolic coefficients remain: {extra}")
-        out.append([d.get("x", 0), d.get("y", 0), str(coeff)])
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out

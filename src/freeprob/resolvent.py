@@ -5,12 +5,18 @@ the smallest positive support point of the shifted symmetrized modulus is
 (lam^2-1)^{3/2} F(x*) where x* is the unique critical point of F in
 (0, 1/sqrt(v)), so the resolvent norm is the reciprocal.
 
-The critical point is found by bisection: F' comes with sign and
-monotonicity guarantees but no useful smoothness bounds, so robustness wins
-over iteration count.  The subordination equation is smooth in s and each of
-its evaluations integrates over the whole a a* grid, so it is solved on the
-same kind of bracket by the Illinois rule (modified regula falsi), which keeps
-the sign change and converges superlinearly.
+When R_mu(z) is exactly z (the circular model: alpha = (1,) with a zero
+tail), B'(z) = 0 is a quadratic in r = 2 z^2 and the critical value has a
+closed form in s = sqrt(8 lam^2 + 1): the norm is
+sqrt(s - 1) ((s + 3) / (4 (lam^2 - 1)))^{3/2}, which is inf_spec(lam)^{-1/2}
+without a cancelling step (see circular_norm_closed_form).  Every other model
+has a truncated R-series, whose critical point solves no fixed low-degree
+equation, so it is found by bisection: F' comes with sign and monotonicity
+guarantees but no useful smoothness bounds, so robustness wins over iteration
+count.  The subordination equation is smooth in s and each of its
+evaluations integrates over the whole a a* grid, so it is solved on the same
+kind of bracket by the Illinois rule (modified regula falsi), which keeps the
+sign change and converges superlinearly.
 """
 
 from __future__ import annotations
@@ -67,18 +73,21 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _illinois(f, lo: float, hi: float) -> float:
+def _illinois(f, lo: float, hi: float, f_hi: float | None = None) -> float:
     """Root of f on a sign-changing bracket by the Illinois rule.
 
     Each step replaces one end by the secant point, so the bracket always
     holds a sign change; an end kept twice in a row has its value halved,
     which stops regula falsi from stalling on one side.  Like _bisect it runs
-    to float resolution: it stops when the secant point no longer falls
-    strictly inside the bracket, and returns the point of smallest |f| it
-    evaluated.
+    to float resolution and returns the point of smallest |f| it evaluated.
+    A secant point that is not strictly inside the bracket (it rounded onto
+    an end) is replaced by the midpoint, so a flat or steep f cannot stop the
+    search on a wide bracket; the search stops when the midpoint itself
+    equals an end.  ``f_hi``, when given, is f(hi) already evaluated by the
+    caller.
     """
     flo = f(lo)
-    fhi = f(hi)
+    fhi = f(hi) if f_hi is None else f_hi
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -90,7 +99,9 @@ def _illinois(f, lo: float, hi: float) -> float:
     for _ in range(200):
         x = hi - fhi * (hi - lo) / (fhi - flo)
         if not lo < x < hi:
-            break
+            x = 0.5 * (lo + hi)
+            if x == lo or x == hi:
+                break
         fx = f(x)
         if fx == 0.0:
             return x
@@ -144,12 +155,13 @@ def solve_subordination(model, lam: float, t: float) -> float:
     lo = t * (1.0 + 1e-12) + 1e-300
     hi = max(2.0 * t, 1.0)
     for _ in range(200):
-        if g(hi) >= 0.0:
+        g_hi = g(hi)
+        if g_hi >= 0.0:
             break
         hi *= 2.0
     else:
         raise BracketError(f"no bracket for lam={lam}, t={t} within 200 doublings")
-    return _illinois(g, lo, hi)
+    return _illinois(g, lo, hi, g_hi)
 
 
 def h_lambda(model, lam: float, t: float) -> float:
@@ -254,11 +266,32 @@ def find_critical_point(model, lam: float) -> float:
     return _bisect(fprime, lo, hi)
 
 
-def resolvent_norm(model, lam: float) -> NormResult:
-    """||(lam - a)^{-1}|| = 1 / ((lam^2-1)^{3/2} F(x*)).
+def circular_norm_closed_form(lam: float) -> tuple[float, float, float]:
+    """(norm, m_lambda, x*) for R_mu(z) = z, the circular model, in closed form.
 
-    Exact for the circular model (its modulus R-transform is closed form);
-    truncated-cumulant models carry the route tag 'series-truncated'.
+    With r = 2 z^2 and L = lam^2, B'(z) = 0 is the quadratic
+    2L r^2 + (1 - 4L) r + 2(L - 1) = 0, whose root in (0, 1) is
+    r = 4m / (4L - 1 + s) for m = (lam - 1)(lam + 1) and s = sqrt(8L + 1).
+    There -B(z*) = r^{3/2} / (sqrt(2) (1 - r)), which is inf_spec(lam)^{1/2}
+    identically because (s + 3)^3 (s - 1) = 8(8L^2 + 20L - 1 + s^3).  Written
+    in s alone, every factor below is positive, so nothing cancels; m is
+    formed as (lam - 1)(lam + 1) rather than lam*lam - 1 for the same reason.
+    """
+    if lam <= 1:
+        raise ValueError("requires lam > 1")
+    m = (lam - 1.0) * (lam + 1.0)
+    s = math.sqrt(8.0 * lam * lam + 1.0)
+    norm = math.sqrt(s - 1.0) * ((s + 3.0) / (4.0 * m)) ** 1.5
+    x_star = 2.0 / math.sqrt((s + 3.0) * (s - 1.0))
+    return norm, 1.0 / norm, x_star
+
+
+def series_norm_by_bisection(model, lam: float) -> tuple[float, float, float]:
+    """(norm, m_lambda, x*) from the bisected critical point of F.
+
+    m_lambda = (lam^2 - 1)^{3/2} F(x*) and norm = 1 / m_lambda.  This is the
+    route for every truncated R-series; on the circular model it is the
+    independent check of circular_norm_closed_form.
     """
     x_star = find_critical_point(model, lam)
     m = lam * lam - 1.0
@@ -266,7 +299,23 @@ def resolvent_norm(model, lam: float) -> NormResult:
     if f_val <= 0:
         raise RegimeError(f"critical value F(x*) = {f_val:g} not positive at lam = {lam}")
     m_lambda = m**1.5 * f_val
-    norm = 1.0 / m_lambda
+    return 1.0 / m_lambda, m_lambda, x_star
+
+
+def resolvent_norm(model, lam: float) -> NormResult:
+    """||(lam - a)^{-1}|| = 1 / ((lam^2-1)^{3/2} F(x*)).
+
+    When the model's R_mu(z) is exactly z (r_mu_closed_form set and alpha
+    reducing to (1,): the circular model) the critical value comes from
+    circular_norm_closed_form, with no F' evaluation.  Every other model
+    bisects F' on its truncated series (series_norm_by_bisection), because a
+    truncated R_mu has no closed-form critical point; those results carry the
+    route tag 'series-truncated'.
+    """
+    if model.r_mu_closed_form and model.r_mu_floats == (1.0,):
+        norm, m_lambda, x_star = circular_norm_closed_form(lam)
+    else:
+        norm, m_lambda, x_star = series_norm_by_bisection(model, lam)
     v = variance_v(model)
     asym = asymptotic_norm(v, lam)
     route = "series-exact" if model.r_mu_closed_form else "series-truncated"

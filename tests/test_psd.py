@@ -229,13 +229,3 @@ class TestMomentPolynomial:
                 approx = psd.negative_moment_psd(model, 1.5, k)
                 assert isinstance(approx, float)
                 assert approx == pytest.approx(float(exact), rel=1e-12)
-
-    def test_json_serialization(self):
-        poly = psd.moment_polynomial(1, alphas=[Fraction(-1, 2)])
-        triples = psd.moment_polynomial_json(poly)
-        rebuilt = Poly()
-        for xe, ye, coeff in triples:
-            rebuilt = rebuilt + Poly.const(Fraction(coeff)) * X**xe * Y**ye
-        assert rebuilt == poly
-        with pytest.raises(ValueError):
-            psd.moment_polynomial_json(psd.moment_polynomial(1))  # symbolic alphas

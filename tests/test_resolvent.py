@@ -1,6 +1,7 @@
 """Resolvent norms, subordination, and the blow-up asymptotics."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,12 @@ class TestSubordination:
         lam, t = 1.5, 0.7
         s_root = rv.solve_subordination(two_atom_model, lam, t)
         assert abs(rv.h_equation_residual(two_atom_model, lam, t, s_root)) < 1e-10
+
+    def test_illinois_steep_root(self):
+        # the secant point rounds onto the left end at once; a midpoint step
+        # keeps the search going instead of returning that end
+        root = rv._illinois(lambda x: 1.0 - 1e30 * x**13, 1e-9, 1.0)
+        assert root == pytest.approx(0.0049238826317067, rel=1e-13)
 
     def test_domain_errors(self, circular_model):
         with pytest.raises(ValueError):
@@ -116,6 +123,56 @@ class TestResolventNorm:
     def test_haar_rejected(self, haar_model):
         with pytest.raises(rv.RegimeError):
             rv.resolvent_norm(haar_model, 1.5)
+
+
+def _inf_spec_decimal(lam: float) -> Decimal:
+    """inf spec |lam - c|^2 in its literal form, at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        big_l = Decimal(lam) ** 2
+        s = 8 * big_l + 1
+        return (8 * big_l * big_l + 20 * big_l - 1 - s * s.sqrt()) / (8 * big_l)
+
+
+CLOSED_FORM_LAMBDAS = [1.0 + 10.0 ** (-4.0 + 5.0 * i / 99) for i in range(100)]
+
+
+class TestCircularClosedForm:
+    def test_matches_decimal_reference(self):
+        # lam - 1 from 1e-4 to 10; norm = inf_spec^(-1/2) and m_lambda = inf_spec^(1/2)
+        worst = Decimal(0)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for lam in CLOSED_FORM_LAMBDAS:
+                ref = _inf_spec_decimal(lam).sqrt()
+                norm, m_lambda, _ = rv.circular_norm_closed_form(lam)
+                worst = max(worst, abs(Decimal(norm) * ref - 1), abs(Decimal(m_lambda) / ref - 1))
+        assert worst < Decimal("2e-15")
+
+    @pytest.mark.parametrize("lam", [1.0001, 1.01, 1.1, 1.5, 2.0, 3.0, 11.0])
+    def test_critical_point_matches_bisection(self, circular_model, lam):
+        x_closed = rv.circular_norm_closed_form(lam)[2]
+        assert x_closed == pytest.approx(rv.find_critical_point(circular_model, lam), rel=1e-9)
+        assert rv.resolvent_norm(circular_model, lam).x_critical == x_closed
+
+    def test_no_fprime_evaluations(self, circular_model, two_atom_model, monkeypatch):
+        calls = [0]
+        original = rv.rescaled_series_derivative
+
+        def counted(model, lam, x):
+            calls[0] += 1
+            return original(model, lam, x)
+
+        monkeypatch.setattr(rv, "rescaled_series_derivative", counted)
+        for lam in (1.001, 1.5, 3.0):
+            rv.resolvent_norm(circular_model, lam)
+        assert calls[0] == 0
+        rv.resolvent_norm(two_atom_model, 1.1)
+        assert calls[0] > 0
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            rv.circular_norm_closed_form(1.0)
 
 
 class TestAsymptoticNorm:
