@@ -92,7 +92,7 @@ def cmd_moments(args) -> int:
     if "psd" in routes:
         if k > psd.PROFILE_K_BOUND:
             raise CliError(f"psd route bound is k <= {psd.PROFILE_K_BOUND}")
-        exact["psd"] = [psd.negative_moment_psd(model, lam, j) for j in range(k + 1)]
+        exact["psd"] = psd.negative_moments_psd(model, k, lam)
         table["psd"] = [float(x) for x in exact["psd"]]
     if "quadrature" in routes:
         if not model.r_mu_closed_form:

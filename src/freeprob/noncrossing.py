@@ -57,15 +57,6 @@ class SetPartition:
         if mins != sorted(mins):
             raise ValueError("blocks not ordered by minima")
 
-    def block_of(self, i: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if i in block:
-                return block
-        raise KeyError(i)
-
-    def block_sizes(self) -> list[int]:
-        return [len(b) for b in self.blocks]
-
 
 @dataclass(frozen=True)
 class IntervalPartition:

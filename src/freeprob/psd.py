@@ -24,7 +24,7 @@ from . import noncrossing as nc
 from .ring import Poly
 
 ENUMERATION_K_BOUND = 4  # enumerate_psd(4) builds 6,550,528 diagrams in about 16 s
-PROFILE_K_BOUND = 11  # a cold profile_table(11) takes about 0.9 s (2-CPU x86 host)
+PROFILE_K_BOUND = 11  # a cold profile_table(11) takes 1.0-1.3 s (2-CPU x86 host)
 QUADRANGULATION_K_BOUND = 6
 # count_quadrangulations is a closed form; its bound keeps the printed number
 # under CPython's default 4300-digit int -> str limit (C^(2)_5100 has 4224)
@@ -138,9 +138,6 @@ class LabeledDiagram:
                 raise ValueError("non-degenerate polygons must carry label 1")
         return LabeledDiagram(diagram, labels)
 
-    def label_of(self, poly: Polygon) -> int:
-        return self.labels[self.diagram.polygons.index(poly)]
-
     def vertex_degrees(self) -> list[int]:
         """Label-weighted vertex degrees = run lengths of the preimage word."""
         deg = [0] * (2 * (self.diagram.k + 1))
@@ -201,99 +198,117 @@ def enumerate_psd(k: int):
 
 
 # ---------------------------------------------------------------------------
-# Counting by recursion over arcs
+# Diagram sums by recursion over arcs
 # ---------------------------------------------------------------------------
 #
-# A diagram on an arc of d + 1 consecutive run vertices is counted by its
-# first vertex: either no polygon passes through it, or the polygons through
-# it reach a farthest vertex e (e odd), and no polygon crosses from the arc
+# Every diagram sum in this module weighs a diagram by the product of its
+# polygons' weights: a chord weighs ``chord`` and a 2l-gon (l >= 2) weighs
+# ``polygon(l)``.  For phi(|lam - a|^{-2(k+1)}) a chord weighs
+# x = 1/(lam^2 - 1) (the geometric sum over its label) and a 2l-gon
+# y^l alpha_l with y = 1/lam^2, and the whole disc carries y^{k+1}.  The
+# profile generating function is the same recursion with marker weights: a
+# packed monomial per polygon size, so the sum counts diagrams profile by
+# profile.
+#
+# A diagram on an arc of d + 1 consecutive run vertices is split at its first
+# vertex: either no polygon passes through it, or the polygons through it
+# reach a farthest vertex e (e odd), and no polygon crosses from the arc
 # [0..e] to [e..d].  On [0..e] the span (0, e) is carried by the chord, by
 # one polygon of >= 4 vertices, or by both.  That polygon's vertices are a
 # chain of odd steps, and each of its gaps holds an arbitrary diagram on the
-# sub-arc (a chord or polygon there may share the polygon's edge).  Every
-# count depends only on the arc length, so it is memoized on d.
-#
-# A generating function maps a packed profile to a count: s_l sits in bits
-# [_DIGIT (l - 1), _DIGIT l) of the key, so multiplying two monomials adds
-# their keys.
+# sub-arc (a chord or polygon there may share the polygon's edge).  Every sum
+# depends only on the arc length, so one pass over d = 1, 2, ... gives them
+# all; the disc of 2(k+1) vertices is the arc d = 2k+1.
 
-_DIGIT = 16
-_CHORD = 1  # the packed profile of one 2-gon
+_DIGIT = 16  # s_l sits in bits [_DIGIT (l - 1), _DIGIT l) of a packed profile
 
 
-def _add_into(acc: dict[int, int], gf: dict[int, int], shift: int = 0) -> None:
-    for key, count in gf.items():
-        acc[key + shift] = acc.get(key + shift, 0) + count
+class _Profiles:
+    """Profile generating function: packed profile -> diagram count.  The
+    product of two monomials adds their packed keys."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: dict[int, int]):
+        self.counts = counts
+
+    def __add__(self, other: "_Profiles") -> "_Profiles":
+        out = _Profiles(dict(self.counts))
+        out += other
+        return out
+
+    def __iadd__(self, other: "_Profiles") -> "_Profiles":
+        counts = self.counts
+        for key, count in other.counts.items():
+            counts[key] = counts.get(key, 0) + count
+        return self
+
+    def __mul__(self, other: "_Profiles") -> "_Profiles":
+        out: dict[int, int] = {}
+        for ka, ca in self.counts.items():
+            for kb, cb in other.counts.items():
+                out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+        return _Profiles(out)
 
 
-def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
-    return out
+def _arc_sums(top: int, zero, one, chord, polygon) -> list:
+    """Weighted sums over all diagrams on arcs of d + 1 vertices, d = 0..top.
+
+    Generic in the value type: ``zero`` and ``one`` are its identities,
+    ``chord`` weighs a 2-gon and ``polygon(l)`` a 2l-gon.  ``+`` and ``*``
+    must return fresh values, which the loop extends with ``+=``.
+    """
+    arcs, spanned = [one], [zero]
+    # chains[s][d]: chains 0 = v_0 < ... < v_s = d of s odd steps, each gap
+    # holding a diagram on its sub-arc; zero unless s = d (mod 2)
+    chains = [[zero] * (top + 1) for _ in range(top + 1)]
+    # carriers[s]: a polygon on a chain of s steps, with or without the chord
+    carriers = [zero] * (top + 1)
+    for s in range(3, top + 1, 2):
+        carriers[s] = polygon((s + 1) // 2) * (one + chord)
+    for d in range(1, top + 1):
+        unspanned = zero + arcs[d - 1]
+        for e in range(1, d, 2):
+            unspanned += spanned[e] * arcs[d - e]
+        for s in range(2 + d % 2, d + 1, 2):
+            link = chains[s - 1][d - 1] * arcs[1]
+            for last in range(3, d - s + 2, 2):
+                link += chains[s - 1][d - last] * arcs[last]
+            chains[s][d] = link
+        if d % 2:
+            span = chord * unspanned
+            for s in range(3, d + 1, 2):
+                span += carriers[s] * chains[s][d]
+        else:
+            span = zero
+        spanned.append(span)
+        arcs.append(unspanned + span)
+        if d % 2:
+            chains[1][d] = arcs[d]
+    return arcs
 
 
-@lru_cache(maxsize=None)
-def _arc_diagrams(d: int) -> dict[int, int]:
-    """All diagrams on an arc of d + 1 vertices."""
-    if d == 0:
-        return {0: 1}
-    out = dict(_arc_unspanned(d))
-    _add_into(out, _arc_spanned(d))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _arc_unspanned(d: int) -> dict[int, int]:
-    """Diagrams on an arc of d + 1 vertices with no polygon through both ends."""
-    out = dict(_arc_diagrams(d - 1))
-    for e in range(1, d, 2):
-        _add_into(out, _times(_arc_spanned(e), _arc_diagrams(d - e)))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _arc_spanned(d: int) -> dict[int, int]:
-    """Diagrams on an arc of d + 1 vertices with a polygon through both ends:
-    the chord beside a diagram with no other such polygon, or a polygon of
-    >= 4 vertices with or without the chord."""
-    if d % 2 == 0:
-        return {}
-    out: dict[int, int] = {}
-    _add_into(out, _arc_unspanned(d), _CHORD)
-    for steps in range(3, d + 1, 2):
-        polygon = 1 << (_DIGIT * ((steps - 1) // 2))  # one (steps + 1)-gon
-        chains = _odd_chains(steps, d)
-        _add_into(out, chains, polygon)
-        _add_into(out, chains, polygon + _CHORD)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _odd_chains(steps: int, d: int) -> dict[int, int]:
-    """Chains 0 = v_0 < ... < v_steps = d of odd steps, each gap
-    [v_i, v_{i+1}] filled with an arbitrary diagram on that sub-arc."""
-    if steps == 1:
-        return _arc_diagrams(d) if d % 2 else {}
-    out: dict[int, int] = {}
-    for last in range(1, d - steps + 2, 2):
-        _add_into(out, _times(_odd_chains(steps - 1, d - last), _arc_diagrams(last)))
-    return out
-
-
-@lru_cache(maxsize=None)
-def profile_table(k: int) -> dict[tuple[int, ...], int]:
-    """Profile -> diagram count over all of PSD_{k+1}, counted over vertex
-    arcs; ``enumerate_psd`` is the oracle verify compares it with."""
+def _check_profile_k(k: int) -> None:
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > PROFILE_K_BOUND:
         raise DiagramBoundError(f"profile table bound is k <= {PROFILE_K_BOUND}")
+
+
+@lru_cache(maxsize=None)
+def profile_table(k: int) -> dict[tuple[int, ...], int]:
+    """Profile -> diagram count over all of PSD_{k+1}: the arc recursion with
+    marker weights; ``enumerate_psd`` is the oracle verify compares it with."""
+    _check_profile_k(k)
+    top = 2 * k + 1
+    chord = _Profiles({1: 1})  # the packed profile of one 2-gon
+    disc = _arc_sums(
+        top, _Profiles({}), _Profiles({0: 1}), chord, lambda ell: _Profiles({1 << (_DIGIT * (ell - 1)): 1})
+    )[top]
     mask = (1 << _DIGIT) - 1
     return {
         tuple((key >> (_DIGIT * ell)) & mask for ell in range(k + 1)): count
-        for key, count in _arc_diagrams(2 * k + 1).items()
+        for key, count in disc.counts.items()
     }
 
 
@@ -473,54 +488,42 @@ X = Poly.var("x")  # stands for 1/(lam^2 - 1)
 Y = Poly.var("y")  # stands for 1/lam^2
 
 
-def _diagram_sum(k: int, x, y, alphas):
-    """sum over profile_table(k) of count * x^{s_1} * y^{(k+1) + sum_{l>=2} l s_l}
-    * prod_{l>=2} alpha_l^{s_l}, with ``alphas`` = alpha_2 .. alpha_{k+1}.
-
-    Generic in the value types: Poly symbols give the moment polynomial,
-    Fractions or floats give its value without building a Poly.
-    """
-    total = 0
-    for s, count in profile_table(k).items():
-        term = count * x ** s[0] * y ** ((k + 1) + sum(ell * s[ell - 1] for ell in range(2, k + 2)))
-        for ell in range(2, k + 2):
-            if s[ell - 1]:
-                term = term * alphas[ell - 2] ** s[ell - 1]
-        total = total + term
-    return total
-
-
-def moment_polynomial(k: int, alphas=None) -> Poly:
+def moment_polynomial(k: int) -> Poly:
     """The two-variable polynomial P_{k+1} with
     phi(|lam - a|^{-2(k+1)}) = P_{k+1}(1/(lam^2-1), 1/lam^2).
 
-    Each diagram with profile (s_1, ..., s_{k+1}) contributes
-    x^{s_1} * y^{(k+1) + sum_{l>=2} l s_l} * prod_{l>=2} alpha_l^{s_l}: the
-    geometric label sums over 2-gons produce exactly x per 2-gon, everything
-    else is a finite monomial.  ``alphas`` supplies alpha_2..alpha_{k+1} as
-    exact rationals (alpha entries may also be Poly symbols); None keeps them
-    symbolic as a2, a3, ...
+    The arc recursion on Poly weights: a chord weighs x (the geometric label
+    sum over its multiplicities), a 2l-gon y^l a_l with alpha_l kept symbolic
+    as a2, a3, ..., and the disc carries y^{k+1}; a diagram with profile
+    (s_1, ..., s_{k+1}) thus gives x^{s_1} y^{(k+1) + sum_{l>=2} l s_l}
+    prod_{l>=2} a_l^{s_l}.
 
     No normalization across the relation x - y = x y is applied; compare
     values, not coefficients.
     """
-    if alphas is None:
-        alphas = [Poly.var(f"a{ell}") for ell in range(2, k + 2)]
-    return _diagram_sum(k, X, Y, list(alphas))
+    _check_profile_k(k)
+    top = 2 * k + 1
+    arcs = _arc_sums(top, Poly(), Poly.const(1), X, lambda ell: Y**ell * Poly.var(f"a{ell}"))
+    return Y ** (k + 1) * arcs[top]
 
 
-def negative_moment_psd(model, lam, k: int):
-    """phi(|lam - a|^{-2(k+1)}): the moment polynomial's diagram sum evaluated
-    at x = 1/(lam^2-1), y = 1/lam^2 directly, with no Poly built.
+def negative_moments_psd(model, k: int, lam) -> list:
+    """m_{-2}(mu_lam), ..., m_{-2k-2}(mu_lam) with
+    m_{-2j-2} = phi(|lam - a|^{-2(j+1)}): one pass of the arc recursion with
+    chord weight x = 1/(lam^2-1) and 2l-gon weight y^l alpha_l, y = 1/lam^2,
+    and no Poly built.  Same shape as ``series.negative_moments_lagrange``.
 
-    Exact (Fraction) for rational lam, float for float lam.  Requires
+    Exact (Fraction) for rational lam, float for float lam; x is formed as
+    1/((lam-1)(lam+1)), which keeps its digits next to lam = 1.  Requires
     alpha_2..alpha_{k+1} from the model.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     alphas = [model.alpha_at(ell) for ell in range(2, k + 2)]
-    if isinstance(lam, float):
-        lam_sq = lam * lam
-        return _diagram_sum(k, 1.0 / (lam_sq - 1.0), 1.0 / lam_sq, alphas)
-    lam_sq = Fraction(lam) ** 2
-    if lam_sq <= 1:
-        raise ValueError("requires lam > 1")
-    return _diagram_sum(k, Fraction(1) / (lam_sq - 1), Fraction(1) / lam_sq, alphas)
+    if not isinstance(lam, float):
+        lam = Fraction(lam)
+        if lam * lam <= 1:
+            raise ValueError("requires lam > 1")
+    x, y = 1 / ((lam - 1) * (lam + 1)), 1 / (lam * lam)
+    arcs = _arc_sums(2 * k + 1, 0, 1, x, lambda ell: y**ell * alphas[ell - 2])
+    return [y ** (j + 1) * arcs[2 * j + 1] for j in range(k + 1)]

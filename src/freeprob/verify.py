@@ -362,18 +362,28 @@ def _check_bijection():
 
 @_register("psd-polynomial-vs-lagrange", "combinatorial")
 def _check_psd_vs_lagrange():
-    for model in (models.circular_model(), models.two_atom_model()):
-        for k in range(0, 7):
-            sym = se.negative_moments_lagrange(model, k)
-            # 50 rational points in (1, 4] for k <= 3, every fifth of them above
-            for i in range(0, 50, 1 if k <= 3 else 5):
-                lam = Fraction(21 + i, 20)
-                a = psd.negative_moment_psd(model, lam, k)
-                b = sym[k].evaluate(se.symbolic_model_assignment(model, lam))
+    circ, two = models.circular_model(), models.two_atom_model()
+    for model in (circ, two):
+        sym = [se.negative_moments_lagrange(model, k)[k] for k in range(0, 7)]
+        # 50 rational points in (1, 4] for k <= 3, every fifth of them for k = 4..6
+        for i in range(0, 50):
+            lam = Fraction(21 + i, 20)
+            assignment = se.symbolic_model_assignment(model, lam)
+            for k, a in enumerate(psd.negative_moments_psd(model, 3 if i % 5 else 6, lam)):
+                b = sym[k].evaluate(assignment)
                 if a != b:
                     return _record(False, 1, 0, f"{model.name} k={k} lam={lam}: {a} != {b}")
-    return _record(True, 0.0, 0, "diagram route equals inversion route exactly: "
-                                 "50 points for k <= 3, 10 points for k = 4..6")
+    # whole lists at exact lam, out to k = 24 and 40 on circular and to the
+    # two-atom model's alpha order
+    lams = (Fraction(21, 20), Fraction(7, 5), Fraction(3))
+    for model, k, at in ((circ, 24, lams), (circ, 40, lams[1:2]), (two, 7, lams)):
+        for lam in at:
+            if psd.negative_moments_psd(model, k, lam) != se.negative_moments_lagrange(model, k, lam=lam):
+                return _record(False, 1, 0, f"{model.name} lam={lam}: m_-2..m_-{2 * k + 2} differ")
+    return _record(True, 0.0, 0, "diagram route equals inversion route exactly: symbolic m_-2k-2 "
+                                 "at 50 points for k <= 3 and 10 points for k = 4..6; whole lists "
+                                 "at lam = 21/20, 7/5, 3 for circular k <= 24 and two-atom k <= 7, "
+                                 "and circular k <= 40 at lam = 7/5")
 
 
 def _cleared_diagram_polynomial(poly):
@@ -412,7 +422,7 @@ def _check_closed_forms():
             lam = Fraction(21 + i, 20)  # 80 rational points in (1, 5]
             lam2 = lam * lam
             want = [1 / (lam2 - 1), (lam2 * lam2 - 1 + model.v) / (lam2 - 1) ** 4]
-            if [psd.negative_moment_psd(model, lam, j) for j in (0, 1)] != want:
+            if psd.negative_moments_psd(model, 1, lam) != want:
                 return _record(False, 1, 0, f"{model.name} lam={lam}: diagram route off the closed forms")
     return _record(True, 0.0, 0, "closed forms m_-2 = 1/(lam^2-1) and m_-4 = (lam^4-1+v)/(lam^2-1)^4 "
                                  "exact on both routes: symbolic, and at 80 points in (1, 5] on "
@@ -865,9 +875,9 @@ def _check_triple_route():
     worst_quad = 0.0
     for lam in (Fraction(3, 2), Fraction(2)):
         exact = se.negative_moments_lagrange(circ, 3, lam=lam)
+        via_psd = psd.negative_moments_psd(circ, 3, lam)
         for k in range(0, 4):
-            via_psd = psd.negative_moment_psd(circ, lam, k)
-            if via_psd != exact[k]:
+            if via_psd[k] != exact[k]:
                 return _record(False, 1.0, 0.0, f"exact routes differ at k={k}, lam={lam}")
         meas = ci.density(float(lam), 2048)
         for k in range(0, 4):

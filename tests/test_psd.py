@@ -102,7 +102,8 @@ class TestProfileCounts:
         registry_record("psd-binomial-identity")
 
     def test_table_cached_once_per_k(self):
-        # every caller reaches the same lru_cache key, so each k misses once
+        # profile_table and profile_count share one lru_cache key, so each k misses
+        # once; moment_polynomial reads no profiles
         psd.profile_table.cache_clear()
         psd.profile_table(2)
         psd.profile_count(2, (7, 0))
@@ -209,7 +210,7 @@ class TestMomentPolynomial:
         k = 2
         errs = []
         for lam in (Fraction(11, 10), Fraction(101, 100), Fraction(1001, 1000)):
-            exact = psd.negative_moment_psd(two_atom_model, lam, k)
+            exact = psd.negative_moments_psd(two_atom_model, k, lam)[k]
             asym = se.asymptotic_negative_moment(two_atom_model.v, k, lam)
             errs.append(abs(float(exact / asym) - 1.0))
         assert errs[0] > errs[1] > errs[2]
@@ -219,13 +220,34 @@ class TestMomentPolynomial:
 
         model = cu.OperatorModel(name="short", alpha=(Fraction(1), Fraction(0)))
         with pytest.raises(cu.OrderCapError):
-            psd.negative_moment_psd(model, Fraction(2), 3)
+            psd.negative_moments_psd(model, 3, Fraction(2))
 
     def test_float_mode(self, circular_model, two_atom_model):
         # the float diagram sum runs through the same helper as the Fraction one
         for model in (circular_model, two_atom_model):
             for k in range(4):
-                exact = psd.negative_moment_psd(model, Fraction(3, 2), k)
-                approx = psd.negative_moment_psd(model, 1.5, k)
+                exact = psd.negative_moments_psd(model, k, Fraction(3, 2))[k]
+                approx = psd.negative_moments_psd(model, k, 1.5)[k]
                 assert isinstance(approx, float)
                 assert approx == pytest.approx(float(exact), rel=1e-12)
+
+    def test_float_mode_next_to_one(self, circular_model, two_atom_model):
+        # x = 1/((lam-1)(lam+1)): forming lam^2 - 1.0 instead loses 5e-8 at eps = 1e-8
+        for model in (circular_model, two_atom_model):
+            for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+                lam = 1.0 + eps
+                exact = psd.negative_moments_psd(model, 3, Fraction(lam))
+                approx = psd.negative_moments_psd(model, 3, lam)
+                for k in range(4):
+                    assert approx[k] == pytest.approx(float(exact[k]), rel=1e-14), (model.name, eps, k)
+
+    def test_moments_read_no_profiles(self, circular_model):
+        psd.profile_table.cache_clear()
+        psd.negative_moments_psd(circular_model, 3, Fraction(3, 2))
+        assert psd.profile_table.cache_info().misses == 0
+
+    def test_moments_past_profile_bound(self, circular_model):
+        k, lam = psd.PROFILE_K_BOUND + 1, Fraction(7, 5)
+        assert psd.negative_moments_psd(circular_model, k, lam) == se.negative_moments_lagrange(
+            circular_model, k, lam=lam
+        )
