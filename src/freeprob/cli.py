@@ -84,25 +84,30 @@ def cmd_moments(args) -> int:
         routes = ("lagrange", "psd") + (("quadrature",) if model.r_mu_closed_form else ())
     else:
         routes = (args.route,)
+    if "psd" in routes and k > psd.PROFILE_K_BOUND:
+        raise CliError(f"psd route bound is k <= {psd.PROFILE_K_BOUND}")
+    if "quadrature" in routes and not model.r_mu_closed_form:
+        raise CliError("quadrature route needs the circular closed-form density")
+    # Exact values arrive as unreduced integer pairs n / d: the int division
+    # is the float of the reduced Fraction, so Fractions are built only for
+    # the exact-route discrepancy of --route all.
     table: dict[str, list[float]] = {}
     exact: dict[str, list[Fraction]] = {}
     if "lagrange" in routes:
-        exact["lagrange"] = se.negative_moments_lagrange(model, k, lam=lam)
-        table["lagrange"] = [float(x) for x in exact["lagrange"]]
+        pairs = se._lagrange_pairs(model, k, lam)
+        table["lagrange"] = [n / d for n, d in pairs]
+        if args.route == "all":
+            exact["lagrange"] = [Fraction(n, d) for n, d in pairs]
     if "psd" in routes:
-        if k > psd.PROFILE_K_BOUND:
-            raise CliError(f"psd route bound is k <= {psd.PROFILE_K_BOUND}")
         exact["psd"] = psd.negative_moments_psd(model, k, lam)
         table["psd"] = [float(x) for x in exact["psd"]]
     if "quadrature" in routes:
-        if not model.r_mu_closed_form:
-            raise CliError("quadrature route needs the circular closed-form density")
         meas = ci.density(float(lam), args.points)
         table["quadrature"] = [
             meas.integrate(lambda t, j=j: t ** (-(j + 1.0))) for j in range(k + 1)
         ]
     v = model.v
-    asym = [float(se.asymptotic_negative_moment(v, j, lam)) for j in range(k + 1)] if v > 0 else None
+    asym = [n / d for n, d in se._asymptotic_pairs(v, k, lam)] if v > 0 else None
 
     header = ["k", "m_{-2k-2}"] + list(table)
     if asym:
@@ -131,9 +136,14 @@ def cmd_moments(args) -> int:
 
 def cmd_norm(args) -> int:
     model = models.load_model(args.model)
-    if float(rv.variance_v(model)) <= 0:
+    v = rv.variance_v(model)
+    if v == 0:
         print(f"model {model.name!r} has v = 0 (Haar-unitary regime): "
               f"no norm blow-up law applies", file=sys.stderr)
+        return USAGE_ERROR
+    if v < 0:
+        print(f"model {model.name!r} has v = {_fmt(v)} < 0, and no operator has a negative v "
+              f"(v = phi((aa*)^2) - 1 >= phi(aa*)^2 - 1 = 0)", file=sys.stderr)
         return USAGE_ERROR
     start, end = float(_parse_lambda_exact(args.lam_start)), float(_parse_lambda_exact(args.lam_end))
     if not start < end:

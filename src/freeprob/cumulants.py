@@ -11,6 +11,7 @@ Scalars are exact: Fractions, or ring.Poly for symbolic identities.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -243,20 +244,46 @@ class OperatorModel:
             return Fraction(0)
         raise OrderCapError(f"alpha_{n} not supplied (order {len(self.alpha)})")
 
-    def aa_star_moments(self) -> list[Fraction]:
-        """phi((a a*)^n) for n = 1..order.
+    def _graded_aa_star_moments(self) -> tuple[list[int], int]:
+        """(M, d): the integers M_n = phi((a a*)^n) d^n for n = 1..order, with
+        d the lcm of alpha's denominators.
 
         The free cumulants of a a* are the moment-type sums of alpha over
-        NC(n) (Nica-Speicher, Lecture 15), so the moment map applies twice.
+        NC(n) (Nica-Speicher, Lectures 11 and 15), so the moment map applies
+        twice.  Each pass is homogeneous of weight n (the blocks of a
+        partition of [n] have sizes summing to n), so feeding it the integers
+        alpha_s d^s gives kappa_n(a a*) d^n, and feeding those gives M_n: no
+        Fraction is normalised on the way.
         """
-        return free_moments_from_cumulants(free_moments_from_cumulants(self.alpha))
+        d = math.lcm(*(a.denominator for a in self.alpha))
+        scaled, power = [], 1
+        for a in self.alpha:
+            power *= d
+            scaled.append(a.numerator * (power // a.denominator))
+        return free_moments_from_cumulants(free_moments_from_cumulants(scaled)), d
+
+    def aa_star_moments(self) -> list[Fraction]:
+        """phi((a a*)^n) for n = 1..order, each reduced once from M_n / d^n."""
+        moments, d = self._graded_aa_star_moments()
+        out, scale = [], 1
+        for moment in moments:
+            scale *= d
+            out.append(Fraction(moment, scale))
+        return out
 
     def check_measure_consistency(self):
-        """Moments of the attached a a* measure must match the alpha route."""
+        """Moments of the attached a a* measure must match the alpha route.
+
+        ``M_n / d**n`` is CPython's correctly rounded int division, the same
+        float as ``float(Fraction(M_n, d**n))`` (notes/decisions.md).
+        """
         if self.aa_star_measure is None:
             return
-        for n, exact in enumerate(self.aa_star_moments(), start=1):
-            combinatorial = float(exact)
+        moments, d = self._graded_aa_star_moments()
+        scale = 1
+        for n, moment in enumerate(moments, start=1):
+            scale *= d
+            combinatorial = moment / scale
             measured = self.aa_star_measure.moment(n)
             if abs(measured - combinatorial) > 1e-6 * max(1.0, abs(combinatorial)):
                 raise ValueError(

@@ -24,11 +24,26 @@ DEFAULT_MODEL_ORDER = 8
 BUILTIN_NAMES = ("circular", "haar", "two-atom")
 
 
+class _CircularModel(cu.OperatorModel):
+    """The circular builtin, whose a a* law is free Poisson.  The 4096-node
+    measure is built on the first read of ``aa_star_measure``: only the
+    subordination functions read it, and no ``moments`` or ``norm`` request
+    on this model does."""
+
+    @property
+    def aa_star_measure(self):
+        return me.free_poisson()
+
+    @aa_star_measure.setter
+    def aa_star_measure(self, value):
+        if value is not None:
+            raise AttributeError("the circular model's a a* measure is free Poisson")
+
+
 def circular_model() -> cu.OperatorModel:
-    return cu.OperatorModel(
+    return _CircularModel(
         name="circular",
         alpha=(Fraction(1),),  # semicircular modulus: alpha_n = 0 for n >= 2
-        aa_star_measure=me.free_poisson(),
         r_mu_closed_form=True,
     )
 
@@ -66,7 +81,7 @@ def builtin_model(name: str) -> cu.OperatorModel:
 def _parse_fraction(s) -> Fraction:
     if isinstance(s, str):
         return Fraction(s)
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):  # JSON true / false are no rationals
         return Fraction(s)
     raise ValueError(f"exact rationals must be 'p/q' strings or integers, got {s!r}")
 

@@ -323,8 +323,10 @@ def solve_inverse_equation(mu_kappas: Sequence, lam_sq, k: int) -> tuple[list, o
     one pass of convolutions: O(k^2) ring operations when R_mu(z) = z, and
     O(N k^2) with N nonzero kappa_2n.
 
-    Graded integer scaling.  Write m = a / b in lowest terms, let L be the
-    lcm of the denominators of kappa_4 .. kappa_{2(k+1)} and C = b^2 L, and
+    Graded integer scaling (the rule is stated once in notes/decisions.md,
+    "Graded integers up to the last division").  Write m = a / b in lowest
+    terms, let L be the lcm of the denominators of kappa_4 .. kappa_{2(k+1)}
+    and C = b^2 L, and
     scale the t^j coefficient of every series by C^j, that of s by one more
     b: H_j = C^j h_j, Q_j = C^j q_j, S_j = b C^j s_j.  A product of j-graded
     coefficients carries C^j whatever the split of j, so the recurrence becomes
@@ -396,22 +398,40 @@ def negative_moments_lagrange(model, k: int, lam=None):
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if lam is None:
-        kappas, lam_sq = _mu_cumulants_symbols(model, k + 1), LAM_SQ
-    else:
-        kappas = [model.alpha_at(n) for n in range(1, k + 2)]
-        lam_sq = lam * lam if isinstance(lam, float) else Fraction(lam) ** 2
+        kappas = _mu_cumulants_symbols(model, k + 1)
+        scaled, _ = solve_inverse_equation(kappas, LAM_SQ, k)
+        return [RationalExpr(Poly.coerce(h), (LAM_SQ - 1) ** (3 * j + 1))
+                for j, h in enumerate(scaled)]
+    if not isinstance(lam, float):
+        return [Fraction(n, d) for n, d in _lagrange_pairs(model, k, lam)]
+    kappas = [model.alpha_at(n) for n in range(1, k + 2)]
+    scaled, _ = solve_inverse_equation(kappas, lam * lam, k)
+    m = lam * lam - 1
+    return [h / m ** (3 * j + 1) for j, h in enumerate(scaled)]
+
+
+def _lagrange_pairs(model, k: int, lam) -> list[tuple[int, int]]:
+    """Unreduced integer pairs (n_j, d_j) with n_j / d_j = m_{-2j-2}(mu_lam),
+    j = 0 .. k, at rational lam; k >= 0.
+
+    With m = lam^2 - 1 = a / b, g_{2j+1} / m^{3j+1} = H_j b^{3j+1} /
+    (C^j a^{3j+1}) (``solve_inverse_equation``), the powers kept running.
+    ``Fraction(n, d)`` reduces a pair once; ``n / d`` is the same float as
+    ``float(Fraction(n, d))`` (notes/decisions.md), so ``cli`` prints the
+    float column without normalising a Fraction.
+    """
+    lam_sq = Fraction(lam) ** 2
+    kappas = [model.alpha_at(n) for n in range(1, k + 2)]
     scaled, big_c = solve_inverse_equation(kappas, lam_sq, k)
-    m = _coerce_scalar(lam_sq) - 1
+    m = lam_sq - 1
+    a, b = m.numerator, m.denominator
+    num_step, den_step = b**3, big_c * a**3
+    num, den = b, a
     out = []
-    for j, h in enumerate(scaled):
-        if lam is None:
-            out.append(RationalExpr(Poly.coerce(h), (LAM_SQ - 1) ** (3 * j + 1)))
-        elif isinstance(m, Fraction):
-            # g_{2j+1} / m^{3j+1} = H_j b^{3j+1} / (C^j a^{3j+1}): one normalisation
-            e = 3 * j + 1
-            out.append(Fraction(h * m.denominator**e, big_c**j * m.numerator**e))
-        else:
-            out.append(h / m ** (3 * j + 1))
+    for h in scaled:
+        out.append((h * num, den))
+        num *= num_step
+        den *= den_step
     return out
 
 
@@ -439,19 +459,39 @@ def symbolic_model_assignment(model, lam) -> dict:
 def asymptotic_negative_moment(v, k: int, lam) -> Fraction | float:
     """Leading-order negative moment C^(2)_k v^k / (lam^2-1)^{3k+1} as lam -> 1.
 
-    Exact at rational lam = p/q, a Fraction assembled from integers and
-    reduced once: ``m = lam^2 - 1 = a/b`` with ``a = p^2 - q^2``, ``b = q^2``
-    (already in lowest terms, as gcd(p, q) = 1) and ``e = 3k + 1`` give
-    ``C^(2)_k v_num^k b^e / (v_den^k a^e)``.  A float lam gives a float.
+    Exact at rational lam: the last pair of ``_asymptotic_pairs``, reduced
+    once.  A float lam gives a float.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if v <= 0:
         raise ValueError("requires v > 0 (excluded Haar-unitary regime)")
     if lam <= 1:
         raise ValueError("requires lam > 1")
-    e = 3 * k + 1
     if isinstance(lam, float):
-        return nc.fuss_catalan(2, k) * v**k / (lam * lam - 1) ** e
+        return nc.fuss_catalan(2, k) * v**k / (lam * lam - 1) ** (3 * k + 1)
+    return Fraction(*_asymptotic_pairs(v, k, lam)[k])
+
+
+def _asymptotic_pairs(v, k: int, lam) -> list[tuple[int, int]]:
+    """Unreduced integer pairs (n_j, d_j) with n_j / d_j the leading-order
+    m_{-2j-2}, j = 0 .. k, at rational v > 0 and lam = p/q > 1 (the caller
+    checks the domain, as ``asymptotic_negative_moment`` does).
+
+    ``m = lam^2 - 1 = a/b`` with ``a = p^2 - q^2``, ``b = q^2`` and
+    ``e = 3j + 1`` give ``C^(2)_j v_num^j b^e / (v_den^j a^e)``, with the
+    powers and C^(2)_{j+1} = C^(2)_j 3(3j+1)(3j+2) / (2(j+1)(2j+3)) kept
+    running.  As for ``_lagrange_pairs``, ``n / d`` is the float of the pair.
+    """
     v, lam = Fraction(v), Fraction(lam)
     p, q = lam.numerator, lam.denominator
-    return Fraction(nc.fuss_catalan(2, k) * v.numerator**k * q ** (2 * e),
-                    v.denominator**k * (p * p - q * q) ** e)
+    a, b = p * p - q * q, q * q
+    num_step, den_step = v.numerator * b**3, v.denominator * a**3
+    num, den, fuss = b, a, 1
+    out = []
+    for j in range(k + 1):
+        out.append((fuss * num, den))
+        fuss = fuss * 3 * (3 * j + 1) * (3 * j + 2) // (2 * (j + 1) * (2 * j + 3))
+        num *= num_step
+        den *= den_step
+    return out

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -199,6 +200,36 @@ class TestMomentsCommand:
         assert rows["psd"][0].split("\t")[2] == "psd"
         assert rows["psd"][1:] == rows["lagrange"][1:]
 
+    def test_psd_bound_refused_before_any_route_runs(self, capsys, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a route ran before the psd bound was checked")
+
+        monkeypatch.setattr(se, "solve_inverse_equation", refuse)
+        monkeypatch.setattr(ci, "density", refuse)
+        code, out, err = run_cli(
+            capsys, "moments", "--route", "all", "--lambda", "3/2", "--k", "400",
+        )
+        assert code == 2 and out == ""
+        assert f"psd route bound is k <= {psd.PROFILE_K_BOUND}" in err
+
+    def test_float_columns_are_the_fraction_api_floats(self, capsys):
+        rng = random.Random(27)
+        cases = [("circular", rng.randrange(41)) for _ in range(12)]
+        cases += [("two-atom", rng.randrange(8)) for _ in range(8)]
+        for name, k in cases:
+            q = rng.randrange(1, 10 ** rng.randrange(1, 7))
+            lam = Fraction(q + rng.randrange(max(1, q // 8), 2 * q + 1), q)
+            code, out, _ = run_cli(
+                capsys, "moments", "--model", name, "--route", "lagrange",
+                "--lambda", str(lam), "--k", str(k),
+            )
+            assert code == 0
+            model = models.builtin_model(name)
+            want = [[format(float(x), ".17g"),
+                     format(float(se.asymptotic_negative_moment(model.v, j, lam)), ".17g")]
+                    for j, x in enumerate(se.negative_moments_lagrange(model, k, lam=lam))]
+            assert [row.split("\t")[2:] for row in out.strip().splitlines()[1:]] == want
+
     def test_quadrature_zero_points_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "moments", "--lambda", "2", "--route", "quadrature", "--points", "0",
@@ -232,6 +263,19 @@ class TestNormCommand:
         )
         assert code == 2
         assert "v = 0" in err
+
+    def test_negative_v_named(self, tmp_path, capsys):
+        # alpha_2 = -3 gives v = -2, and phi((aa*)^2) = -1: no operator's law
+        path = tmp_path / "negative-v.json"
+        path.write_text(json.dumps(
+            {"name": "negative-v", "alpha": ["1", "-3", "5", "-2", "1", "0", "0", "0"]}))
+        code, out, err = run_cli(
+            capsys, "norm", "--model", str(path), "--lambda-start", "1.1",
+            "--lambda-end", "2", "--steps", "5",
+        )
+        assert code == 2 and out == ""
+        assert "v = -2 < 0" in err and "no operator has a negative v" in err
+        assert "v = 0" not in err and "Haar" not in err
 
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(

@@ -12,6 +12,19 @@ from freeprob.ring import Poly
 
 LAM = Poly.var("lam")
 
+# a a* laws written the way the benchmark writes its model files: dyadic atom
+# pairs 1 -/+ d of equal dyadic weight
+DYADIC_LAWS = (
+    [(Fraction(1), Fraction(1, 4))]
+    + [(1 + s * d, Fraction(3, 16)) for d in (Fraction(3, 16), Fraction(5, 16)) for s in (-1, 1)],
+    [(1 + s * Fraction(15, 16), Fraction(1, 2)) for s in (-1, 1)],
+)
+
+
+def _alpha_of_atoms(atoms, order: int = 8) -> tuple:
+    return tuple(cu.alpha_from_aa_star_moments(
+        [sum(w * x**n for x, w in atoms) for n in range(1, order + 1)]))
+
 
 class TestScalarConversions:
     def test_point_mass(self):
@@ -158,6 +171,34 @@ class TestOperatorModel:
         )
         with pytest.raises(ValueError, match="mismatch"):
             broken.check_measure_consistency()
+
+    def test_aa_star_moments_equal_the_fraction_double_map(
+            self, circular_model, two_atom_model, haar_model):
+        alphas = [model.alpha for model in (circular_model, two_atom_model, haar_model)]
+        alphas += [_alpha_of_atoms(atoms) for atoms in DYADIC_LAWS]
+        alphas.append((Fraction(1), Fraction(2, 3), Fraction(-5, 7), Fraction(1, 21),
+                       Fraction(4, 9), Fraction(-3, 49), Fraction(10, 147)))
+        for alpha in alphas:
+            moments = cu.OperatorModel(name="m", alpha=alpha).aa_star_moments()
+            assert moments == cu.free_moments_from_cumulants(cu.free_moments_from_cumulants(alpha))
+            assert all(type(m) is Fraction for m in moments)
+
+    def test_consistency_check_builds_no_fraction(self, two_atom_model, monkeypatch):
+        import freeprob.measures as me
+
+        atoms = DYADIC_LAWS[0]
+        built = cu.OperatorModel(
+            name="dyadic",
+            alpha=_alpha_of_atoms(atoms),
+            aa_star_measure=me.SpectralMeasure.from_atoms([(float(x), float(w)) for x, w in atoms]),
+        )
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction built by the load-time check")
+
+        monkeypatch.setattr(cu.Fraction, "__new__", refuse)
+        built.check_measure_consistency()
+        two_atom_model.check_measure_consistency()
 
     def test_alpha_inversion_roundtrip(self):
         alphas = [Fraction(1), Fraction(-1, 2), Fraction(3, 4), Fraction(0), Fraction(2)]

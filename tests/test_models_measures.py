@@ -78,6 +78,18 @@ class TestBuiltinModels:
         assert first is not second
         assert first.aa_star_measure is second.aa_star_measure
 
+    def test_circular_measure_built_on_first_read(self, capsys):
+        from freeprob import cli
+
+        me.free_poisson.cache_clear()
+        assert cli.main(["norm", "--model", "circular", "--lambda-start", "1.1",
+                         "--lambda-end", "2", "--steps", "3"]) == 0
+        assert cli.main(["moments", "--model", "circular", "--route", "lagrange",
+                         "--lambda", "3/2", "--k", "3"]) == 0
+        capsys.readouterr()
+        assert me.free_poisson.cache_info().currsize == 0
+        assert models.circular_model().aa_star_measure is me.free_poisson()
+
     def test_haar_alphas_are_signed_catalans(self, haar_model):
         for model in (haar_model, models.haar_model(40)):
             want = [(-1) ** n * nc.catalan(n) for n in range(model.order)]
@@ -188,6 +200,19 @@ class TestModelSpecJson:
     def test_bad_rational_rejected(self):
         with pytest.raises(ValueError):
             models.model_from_spec({"name": "q", "alpha": [1.5]})
+
+    def test_json_booleans_are_not_rationals(self, tmp_path, capsys):
+        from freeprob import cli
+
+        for spec in ({"name": "b", "alpha": [True, 0]},
+                     {"name": "b", "alpha": ["1", "0"], "mu_even_cumulants": [True]}):
+            with pytest.raises(ValueError, match="exact rationals must be"):
+                models.model_from_spec(spec)
+        path = tmp_path / "bool.json"
+        path.write_text('{"name": "b", "alpha": [true, 0]}')
+        assert cli.main(["moments", "--model", str(path), "--lambda", "3/2", "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "exact rationals must be" in captured.err and captured.out == ""
 
     def test_load_model_builtin_name(self):
         assert models.load_model("circular").name == "circular"

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeprob import noncrossing as nc
@@ -182,6 +182,39 @@ class TestNegativeMoments:
         registry_record("inverse-coefficient-convergence")
 
 
+class TestIntegerPairFloats:
+    """``n / d`` on an unreduced integer pair is ``float(Fraction(n, d))``: both
+    are CPython's correctly rounded int division, the Fraction's on the
+    reduced pair, so the CLI prints exact columns without normalising
+    (notes/decisions.md)."""
+
+    @staticmethod
+    def _float_or_overflow(divide):
+        try:
+            return repr(divide())  # repr keeps the sign of a zero
+        except OverflowError:
+            return "OverflowError"
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-(2**200), 2**200), st.integers(1, 2**200), st.integers(1, 2**300),
+           st.integers(-1400, 1400))
+    @example(3, 1, 1, 1100)  # 3 * 2^1100: overflows
+    @example(1, 1, 7, 1024)  # 2^1024: the first power of two past the float range
+    @example(1, 3, 5, -1070)  # 2^-1070 / 3: subnormal
+    @example(-1, 1, 9, -1074)  # -2^-1074: the smallest subnormal
+    @example(1, 1, 11, -1076)  # 2^-1076: rounds to zero
+    @example(-1, 3, 1, -1080)  # rounds to -0.0
+    @example(0, 5, 13, 0)
+    def test_int_division_is_the_fraction_float(self, a, b, common, shift):
+        n, d = a * common, b * common  # unreduced whenever common > 1
+        if shift >= 0:
+            n <<= shift
+        else:
+            d <<= -shift
+        assert self._float_or_overflow(lambda: n / d) == self._float_or_overflow(
+            lambda: float(Fraction(n, d)))
+
+
 class TestAsymptoticNegativeMoment:
     def test_k0(self):
         assert se.asymptotic_negative_moment(Fraction(5), 0, Fraction(3, 2)) == Fraction(4, 5)
@@ -203,6 +236,8 @@ class TestAsymptoticNegativeMoment:
             se.asymptotic_negative_moment(0, 1, 1.5)
         with pytest.raises(ValueError):
             se.asymptotic_negative_moment(1, 1, 1.0)
+        with pytest.raises(ValueError):
+            se.asymptotic_negative_moment(1, -1, Fraction(3, 2))
 
     def test_ratio_sweeps_to_one(self, registry_record):
         registry_record("asymptotic-ratio-sweep")
