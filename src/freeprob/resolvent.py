@@ -11,12 +11,13 @@ closed form in s = sqrt(8 lam^2 + 1): the norm is
 sqrt(s - 1) ((s + 3) / (4 (lam^2 - 1)))^{3/2}, which is inf_spec(lam)^{-1/2}
 without a cancelling step (see circular_norm_closed_form).  Every other model
 has a truncated R-series, whose critical point solves no fixed low-degree
-equation, so it is found by bisection: F' comes with sign and monotonicity
-guarantees but no useful smoothness bounds, so robustness wins over iteration
-count.  The subordination equation is smooth in s and each of its
-evaluations integrates over the whole a a* grid, so it is solved on the same
-kind of bracket by the Illinois rule (modified regula falsi), which keeps the
-sign change and converges superlinearly.
+equation, so it is found by Newton's method on F' from circular's critical
+point, kept inside the sign-change bracket that F' guarantees: F, F' and F''
+are polynomials in x and u = sqrt(1 + 4 lam^2 (lam^2 - 1) x^2) with no
+cancelling step.  The subordination equation is smooth in s and each of its
+evaluations integrates over the whole a a* grid, so it is solved on a bracket
+by the Illinois rule (modified regula falsi), which keeps the sign change and
+converges superlinearly.
 """
 
 from __future__ import annotations
@@ -175,52 +176,53 @@ def h_lambda(model, lam: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_term(z: float, lam_sq: float) -> float:
-    """(1 - sqrt(1 + 4 lam^2 z^2)) / (2 z), cancellation-free."""
-    q = 4.0 * lam_sq * z * z
-    root = math.sqrt(1.0 + q)
-    # 1 - root = -q / (1 + root)
-    return -q / (1.0 + root) / (2.0 * z)
-
-
-def _sqrt_term_derivative(z: float, lam_sq: float) -> float:
-    """d/dz of the term above: (1 - u) / (2 z^2 u) with u = sqrt(1 + 4 lam^2 z^2)."""
-    q = 4.0 * lam_sq * z * z
-    u = math.sqrt(1.0 + q)
-    return -q / (1.0 + u) / (2.0 * z * z * u)
-
-
-def inverse_cauchy_value(model, lam: float, z: float) -> float:
-    """B(z) = R_mu(z) + (1 - sqrt(1 + 4 lam^2 z^2))/(2z) at real z.
+def rescaled_series_value(model, lam: float, x: float) -> float:
+    """F(x) = -(lam^2-1)^{-3/2} B((lam^2-1)^{1/2} x), for
+    B(z) = R_mu(z) + (1 - sqrt(1 + 4 lam^2 z^2))/(2z).
 
     R_mu is the odd polynomial with coefficients alpha: exact for the circular
-    model (alpha's tail is zero, so R_mu(z) = z) and truncated otherwise; the
-    square-root part is closed form either way.
+    model (alpha's tail is zero, so R_mu(z) = z) and truncated otherwise.
+    With m = (lam - 1)(lam + 1), L = lam^2, y = m x^2 and u = sqrt(1 + 4L y),
+    alpha_1 = 1 gives
+    F(x) = x (2 - 4L x^2 / (1 + u)) / (1 + u) - x^3 sum_{j>=2} alpha_j y^{j-2}:
+    the -m z of R_mu(z) - L z cancels against the square root in closed form,
+    so no step subtracts nearly equal numbers as lam -> 1, where F -> x - v x^3
+    (notes/decisions.md).
     """
+    big_l = lam * lam
+    y = (lam - 1.0) * (lam + 1.0) * x * x
+    u = math.sqrt(1.0 + 4.0 * big_l * y)
     kappas = model.r_mu_floats
-    acc = 0.0
-    for kap in reversed(kappas):
-        acc = acc * z * z + kap
-    return acc * z + _sqrt_term(z, lam * lam)
-
-
-def inverse_cauchy_derivative(model, lam: float, z: float) -> float:
-    kappas = model.r_mu_floats
-    d = 0.0
-    for j in range(len(kappas), 0, -1):
-        d = d * z * z + (2 * j - 1) * kappas[j - 1]
-    return d + _sqrt_term_derivative(z, lam * lam)
-
-
-def rescaled_series_value(model, lam: float, x: float) -> float:
-    """F(x) = -(lam^2-1)^{-3/2} B((lam^2-1)^{1/2} x)."""
-    m = lam * lam - 1.0
-    return -inverse_cauchy_value(model, lam, math.sqrt(m) * x) / m**1.5
+    p = 0.0
+    for j in range(len(kappas), 1, -1):
+        p = p * y + kappas[j - 1]
+    return x * (2.0 - 4.0 * big_l * x * x / (1.0 + u)) / (1.0 + u) - x**3 * p
 
 
 def rescaled_series_derivative(model, lam: float, x: float) -> float:
-    m = lam * lam - 1.0
-    return -inverse_cauchy_derivative(model, lam, math.sqrt(m) * x) / m
+    """F'(x) = (2 - 4L x^2 (1 + 1/(1 + u))) / (u (1 + u))
+    - x^2 sum_{j>=2} (2j - 1) alpha_j y^{j-2}, in the notation of F above."""
+    big_l = lam * lam
+    y = (lam - 1.0) * (lam + 1.0) * x * x
+    u = math.sqrt(1.0 + 4.0 * big_l * y)
+    kappas = model.r_mu_floats
+    p = 0.0
+    for j in range(len(kappas), 1, -1):
+        p = p * y + (2 * j - 1) * kappas[j - 1]
+    return (2.0 - 4.0 * big_l * x * x * (1.0 + 1.0 / (1.0 + u))) / (u * (1.0 + u)) - x * x * p
+
+
+def rescaled_series_second_derivative(model, lam: float, x: float) -> float:
+    """F''(x) = -8L^2 x (2u + 1) / (u^3 (1 + u)^2)
+    - x sum_{j>=2} (2j - 1)(2j - 2) alpha_j y^{j-2}, in the notation of F above."""
+    big_l = lam * lam
+    y = (lam - 1.0) * (lam + 1.0) * x * x
+    u = math.sqrt(1.0 + 4.0 * big_l * y)
+    kappas = model.r_mu_floats
+    p = 0.0
+    for j in range(len(kappas), 1, -1):
+        p = p * y + (2 * j - 1) * (2 * j - 2) * kappas[j - 1]
+    return -8.0 * big_l * big_l * x * (2.0 * u + 1.0) / (u**3 * (1.0 + u) ** 2) - x * p
 
 
 def variance_v(model) -> float:
@@ -235,11 +237,21 @@ def variance_v(model) -> float:
 
 
 def find_critical_point(model, lam: float) -> float:
-    """The unique x in (0, 1/sqrt(v)) with F'(x) = 0, by bisection.
+    """The unique x in (0, 1/sqrt(v)) with F'(x) = 0, by Newton's method kept
+    inside a sign-change bracket.
 
     F' is strictly decreasing on the bracket (positive at 0+, negative at the
     right endpoint); absence of a sign change means lam is outside the regime
-    the truncated series can resolve and raises RegimeError.
+    the truncated series can resolve and raises RegimeError.  The iteration
+    starts from circular's closed-form critical point divided by sqrt(v):
+    exact for circular, and the limit 1/sqrt(3v) as lam -> 1 for every model.
+    Each F' value moves one end of the bracket to the point by its sign; a
+    Newton step that leaves the bracket, or is more than half the step before
+    it (Newton creeping down a steep polynomial, from a start far right of
+    the root when v is small), or F'' >= 0, gives way to the midpoint.  The
+    iteration stops once a Newton step is at most 1e-13 x: the critical value
+    is quadratic in the error of x, so F(x*) is then correct to float
+    precision.
     """
     v = variance_v(model)
     if v <= 0:
@@ -253,17 +265,39 @@ def find_critical_point(model, lam: float) -> float:
         )
     hi = 1.0 / math.sqrt(v)
     lo = 1e-9 * hi
-
-    def fprime(x: float) -> float:
-        return rescaled_series_derivative(model, lam, x)
-
-    f_lo, f_hi = fprime(lo), fprime(hi)
+    # called through the module global, so a tracer or a test can count F' calls
+    f_lo, f_hi = rescaled_series_derivative(model, lam, lo), rescaled_series_derivative(model, lam, hi)
     if f_lo <= 0 or f_hi >= 0:
         raise RegimeError(
             f"F' endpoint signs ({f_lo:g}, {f_hi:g}) admit no bracketed root; "
             f"lam = {lam} too far from 1 for truncation order {model.order}"
         )
-    return _bisect(fprime, lo, hi)
+    x = circular_norm_closed_form(lam)[2] * hi
+    last_step = math.inf
+    for _ in range(200):
+        d1 = rescaled_series_derivative(model, lam, x)
+        if d1 == 0.0:
+            return x
+        if d1 > 0.0:
+            lo = x
+        else:
+            hi = x
+        d2 = rescaled_series_second_derivative(model, lam, x)
+        if d2 < 0.0:
+            step = d1 / d2
+            # tested before the bracket: a converged step may round onto the
+            # end just set at x, and a midpoint there would restart a bisection
+            if abs(step) <= 1e-13 * x:
+                return x - step
+            if lo < x - step < hi and 2.0 * abs(step) <= last_step:
+                last_step = abs(step)
+                x -= step
+                continue
+        last_step = 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi)
+        if x == lo or x == hi:
+            break
+    return x
 
 
 def circular_norm_closed_form(lam: float) -> tuple[float, float, float]:
@@ -286,15 +320,16 @@ def circular_norm_closed_form(lam: float) -> tuple[float, float, float]:
     return norm, 1.0 / norm, x_star
 
 
-def series_norm_by_bisection(model, lam: float) -> tuple[float, float, float]:
-    """(norm, m_lambda, x*) from the bisected critical point of F.
+def series_norm(model, lam: float) -> tuple[float, float, float]:
+    """(norm, m_lambda, x*) from the critical point of F (find_critical_point).
 
     m_lambda = (lam^2 - 1)^{3/2} F(x*) and norm = 1 / m_lambda.  This is the
     route for every truncated R-series; on the circular model it is the
-    independent check of circular_norm_closed_form.
+    independent check of circular_norm_closed_form, which it matches to
+    2e-15 relative for lam - 1 down to 1e-10.
     """
     x_star = find_critical_point(model, lam)
-    m = lam * lam - 1.0
+    m = (lam - 1.0) * (lam + 1.0)
     f_val = rescaled_series_value(model, lam, x_star)
     if f_val <= 0:
         raise RegimeError(f"critical value F(x*) = {f_val:g} not positive at lam = {lam}")
@@ -308,14 +343,14 @@ def resolvent_norm(model, lam: float) -> NormResult:
     When the model's R_mu(z) is exactly z (r_mu_closed_form set and alpha
     reducing to (1,): the circular model) the critical value comes from
     circular_norm_closed_form, with no F' evaluation.  Every other model
-    bisects F' on its truncated series (series_norm_by_bisection), because a
-    truncated R_mu has no closed-form critical point; those results carry the
-    route tag 'series-truncated'.
+    solves F' = 0 on its truncated series (series_norm), because a truncated
+    R_mu has no closed-form critical point; those results carry the route tag
+    'series-truncated'.
     """
     if model.r_mu_closed_form and model.r_mu_floats == (1.0,):
         norm, m_lambda, x_star = circular_norm_closed_form(lam)
     else:
-        norm, m_lambda, x_star = series_norm_by_bisection(model, lam)
+        norm, m_lambda, x_star = series_norm(model, lam)
     v = variance_v(model)
     asym = asymptotic_norm(v, lam)
     route = "series-exact" if model.r_mu_closed_form else "series-truncated"

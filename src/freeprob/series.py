@@ -460,7 +460,10 @@ def asymptotic_negative_moment(v, k: int, lam) -> Fraction | float:
     """Leading-order negative moment C^(2)_k v^k / (lam^2-1)^{3k+1} as lam -> 1.
 
     Exact at rational lam: the last pair of ``_asymptotic_pairs``, reduced
-    once.  A float lam gives a float.
+    once.  A float lam gives a float, with lam^2 - 1 formed as
+    (lam - 1)(lam + 1), whose rounding the power raises 3k + 1 times: within
+    (3k + 2) 2^-52 relative of the exact value at Fraction(lam) (2.4e-15 at
+    k = 3) for lam - 1 down to 1e-10.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -469,7 +472,7 @@ def asymptotic_negative_moment(v, k: int, lam) -> Fraction | float:
     if lam <= 1:
         raise ValueError("requires lam > 1")
     if isinstance(lam, float):
-        return nc.fuss_catalan(2, k) * v**k / (lam * lam - 1) ** (3 * k + 1)
+        return nc.fuss_catalan(2, k) * v**k / ((lam - 1) * (lam + 1)) ** (3 * k + 1)
     return Fraction(*_asymptotic_pairs(v, k, lam)[k])
 
 

@@ -747,15 +747,16 @@ def _check_pushforward():
 
 @_register("norm-vs-inf-spec", "analytic")
 def _check_norm_vs_infspec():
-    # resolvent_norm takes the circular norm in closed form; the bisection on
-    # F' is checked here on the same points as an independent route
+    # resolvent_norm takes the circular norm in closed form; the series route
+    # (the critical point of F, as for every other model) is checked here on
+    # the same points as an independent route
     circ = models.circular_model()
-    worst = {"closed form": 0.0, "bisection": 0.0}
+    worst = {"closed form": 0.0, "series": 0.0}
     for lam in [1.01 + i * (3.0 - 1.01) / 19 for i in range(20)] + [1.1, 1.5, 2.0]:
         res = rv.resolvent_norm(circ, lam)
         ref = ci.inf_spec(lam) ** -0.5
         for route, (norm, m_lambda) in (("closed form", (res.norm, res.m_lambda)),
-                                        ("bisection", rv.series_norm_by_bisection(circ, lam)[:2])):
+                                        ("series", rv.series_norm(circ, lam)[:2])):
             worst[route] = max(worst[route], abs(norm - ref) / ref)
             if abs(norm * m_lambda - 1.0) > 1e-12:
                 return _record(False, abs(norm * m_lambda - 1.0), 1e-12,
@@ -763,7 +764,7 @@ def _check_norm_vs_infspec():
     top = max(worst.values())
     return _record(top < 1e-9, top, 1e-9,
                    f"series norm equals inf_spec^(-1/2): closed form {worst['closed form']:.2e}, "
-                   f"bisection {worst['bisection']:.2e} (tol 1e-9), 20 points in [1.01, 3] and "
+                   f"series {worst['series']:.2e} (tol 1e-9), 20 points in [1.01, 3] and "
                    f"lam = 1.1, 1.5, 2")
 
 
@@ -800,7 +801,9 @@ def _check_main_theorem():
 @_register("negative-moment-asymptotics", "asymptotic")
 def _check_neg_moment_asym():
     # quantitative convergence to the Fuss-Catalan constants; at lam = 1.001
-    # the exact deviations are below 1% for k <= 3 on both stock models
+    # the exact deviations are below 1% for k <= 3 on both stock models.  On
+    # circular (v = 1) the normalized moments are the rescaled coefficients of
+    # the inverse series, so this is also their convergence to C2_k
     lam = Fraction(1001, 1000)
     worst = 0.0
     for model in (models.circular_model(), models.two_atom_model()):
@@ -811,19 +814,6 @@ def _check_neg_moment_asym():
             rel = abs(float(normalized) - nc.fuss_catalan(2, k)) / nc.fuss_catalan(2, k)
             worst = max(worst, rel)
     return _record(worst < 1e-2, worst, 1e-2, "m_{-2k-2} (lam^2-1)^{3k+1} / v^k vs C2_k at lam = 1.001")
-
-
-@_register("inverse-coefficient-convergence", "asymptotic")
-def _check_b_convergence():
-    lam = Fraction(1001, 1000)
-    circ = models.circular_model()
-    ms = se.negative_moments_lagrange(circ, 3, lam=lam)
-    worst = 0.0
-    for k in range(0, 4):
-        b = float(ms[k] * (lam * lam - 1) ** (3 * k + 1))
-        target = nc.fuss_catalan(2, k)  # v = 1
-        worst = max(worst, abs(b - target) / target)
-    return _record(worst < 1e-2, worst, 1e-2, "rescaled inverse coefficients -> C2_k v^k at lam = 1.001")
 
 
 @_register("lower-bound-dominance", "asymptotic")

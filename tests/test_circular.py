@@ -1,6 +1,7 @@
 """Spectral analysis of the shifted circular square modulus."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,17 @@ class TestInfSpec:
 
     def test_taylor_leading_term(self, registry_record):
         registry_record("taylor-leading-term")
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_next_to_one(self, eps):
+        # lam^2 - 1 formed as lam*lam - 1 lost 1.5e-8 at eps = 1e-8
+        lam = 1.0 + eps
+        with localcontext() as ctx:
+            ctx.prec = 60
+            big_l = Decimal(lam) ** 2
+            s = 8 * big_l + 1
+            ref = (8 * big_l * big_l + 20 * big_l - 1 - s * s.sqrt()) / (8 * big_l)
+            assert abs(Decimal(ci.inf_spec(lam)) / ref - 1) < Decimal("1e-15")
 
     def test_cubic_scaling_by_finite_differences(self):
         # log-slope of inf_spec near 1 is 3

@@ -12,6 +12,20 @@ from freeprob import resolvent as rv
 from freeprob import series as se
 
 
+# a a* laws written the way the benchmark writes its model files: dyadic atom
+# pairs 1 -/+ d of equal dyadic weight
+DYADIC_LAWS = (
+    [(Fraction(1), Fraction(1, 4))]
+    + [(1 + s * d, Fraction(3, 16)) for d in (Fraction(3, 16), Fraction(5, 16)) for s in (-1, 1)],
+    [(1 + s * Fraction(15, 16), Fraction(1, 2)) for s in (-1, 1)],
+)
+
+
+def _dyadic_model(atoms, order: int) -> cu.OperatorModel:
+    moments = [sum(w * x**n for x, w in atoms) for n in range(1, order + 1)]
+    return cu.OperatorModel(name="dyadic", alpha=tuple(cu.alpha_from_aa_star_moments(moments)))
+
+
 class TestHFunction:
     def test_haar_atom(self):
         meas = me.SpectralMeasure.from_atoms([(1.0, 1.0)])
@@ -96,6 +110,49 @@ class TestCriticalPoint:
     def test_truncation_guard(self, two_atom_model):
         with pytest.raises(rv.RegimeError):
             rv.find_critical_point(two_atom_model, 1.0 + 1e-5)
+
+    @pytest.mark.parametrize("lam", [1.001, 1.1, 1.3])
+    def test_derivatives_match_central_differences(self, two_atom_model, lam):
+        h = 1e-5
+        for x in (0.1, 0.5, 0.9):
+            for f, df in ((rv.rescaled_series_value, rv.rescaled_series_derivative),
+                          (rv.rescaled_series_derivative, rv.rescaled_series_second_derivative)):
+                central = (f(two_atom_model, lam, x + h) - f(two_atom_model, lam, x - h)) / (2 * h)
+                assert df(two_atom_model, lam, x) == pytest.approx(central, rel=1e-8, abs=1e-8)
+
+    def test_few_fprime_evaluations_per_norm(self, two_atom_model, monkeypatch):
+        # a bisection from [1e-9 hi, hi] to float resolution needs about 54 per norm
+        calls = [0]
+        original = rv.rescaled_series_derivative
+
+        def counted(model, lam, x):
+            calls[0] += 1
+            return original(model, lam, x)
+
+        monkeypatch.setattr(rv, "rescaled_series_derivative", counted)
+        for lam in (1.001 + 0.199 * i / 19 for i in range(20)):
+            rv.resolvent_norm(two_atom_model, lam)
+        assert calls[0] / 20 <= 12
+        for atoms, order in zip(DYADIC_LAWS, (6, 8)):
+            model = _dyadic_model(atoms, order)
+            calls[0] = 0
+            for i in range(10):
+                rv.resolvent_norm(model, 1.0 + 1e-3 * 3 ** (i / 9))
+            assert calls[0] / 10 <= 12, model.alpha
+
+
+class TestSeriesNorm:
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_circular_next_to_one(self, circular_model, eps):
+        # F carries no cancelling step: forming lam^2 - 1 as lam*lam - 1 and
+        # subtracting the square root from R_mu lost 1.2e-8 at eps = 1e-8
+        lam = 1.0 + eps
+        norm, m_lambda, _ = rv.series_norm(circular_model, lam)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ref = _inf_spec_decimal(lam).sqrt()
+            assert abs(Decimal(norm) * ref - 1) < Decimal("2e-15")
+            assert abs(Decimal(m_lambda) / ref - 1) < Decimal("2e-15")
 
 
 class TestResolventNorm:

@@ -179,7 +179,7 @@ class TestNegativeMoments:
         assert se.negative_moments_lagrange(model, k, lam=lam) == oracle
 
     def test_coefficient_convergence(self, registry_record):
-        registry_record("inverse-coefficient-convergence")
+        registry_record("negative-moment-asymptotics")
 
 
 class TestIntegerPairFloats:
@@ -230,6 +230,15 @@ class TestAsymptoticNegativeMoment:
             literal = nc.fuss_catalan(2, k) * v**k / (lam**2 - 1) ** (3 * k + 1)
             got = se.asymptotic_negative_moment(v, k, lam)
             assert type(got) is Fraction and got == literal
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_float_lambda_next_to_one(self, eps):
+        # lam^2 - 1 formed as lam*lam - 1 lost 5.0e-8 at eps = 1e-8 for k = 3
+        lam = 1.0 + eps
+        for k in range(4):
+            exact = se.asymptotic_negative_moment(Fraction(1), k, Fraction(lam))
+            got = se.asymptotic_negative_moment(Fraction(1), k, lam)
+            assert abs(Fraction(got) / exact - 1) <= (3 * k + 2) * 2.0**-52, k
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):

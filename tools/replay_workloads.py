@@ -12,8 +12,12 @@ one process, in order, so caches are shared as in a benchmark worker.  One
 line per workload and seed gives the request count and a digest of every
 (exit code, stdout, stderr); equal digests on two source trees mean
 byte-identical behaviour.  ``--out`` keeps the records for a diff;
-``--against`` compares with records kept that way, prints the first workload,
-seed and request whose (exit code, stdout, stderr) differs, and exits 1.
+``--against`` compares with records kept that way and exits 1 on any
+difference.  For every request that differs it prints whether the exit code
+and stderr match, and the largest relative difference in each numeric CSV
+column of stdout (a change of float bits reads as a small number there; a
+change of text, row count or column shape is named as such).  A last line
+gives the largest difference per column over all requests.
 """
 
 from __future__ import annotations
@@ -62,21 +66,75 @@ def replay(workload: str, seed: int, main) -> list[dict]:
     return records
 
 
-def first_difference(old: dict, new: dict) -> str | None:
-    """Where the records in ``new`` first leave the saved ``old`` ones, or None."""
+def _number(field: str) -> float | None:
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def _rel(old: str, new: str) -> float | None:
+    """|new - old| / max(|old|, |new|) for two numeric fields, None otherwise."""
+    a, b = _number(old), _number(new)
+    if a is None or b is None:
+        return None
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def stdout_difference(old: str, new: str) -> tuple[dict, list]:
+    """({column: largest relative difference}, [non-numeric differences]) of
+    two CSV outputs.  Columns are named by the header, the first line, when it
+    is not numeric, and by their index otherwise."""
+    old_rows = [line.split(",") for line in old.splitlines()]
+    new_rows = [line.split(",") for line in new.splitlines()]
+    if len(old_rows) != len(new_rows):
+        return {}, [f"{len(old_rows)} -> {len(new_rows)} lines"]
+    header = old_rows[0] if old_rows and all(_number(f) is None for f in old_rows[0]) else None
+    worst, other = {}, []
+    for i, (a, b) in enumerate(zip(old_rows, new_rows)):
+        if a == b:
+            continue
+        if len(a) != len(b):
+            other.append(f"line {i}: {len(a)} -> {len(b)} fields")
+            continue
+        for j, (x, y) in enumerate(zip(a, b)):
+            if x == y:
+                continue
+            name = header[j] if header and j < len(header) else str(j)
+            rel = _rel(x, y)
+            if rel is None:
+                other.append(f"line {i} {name}: {x!r} -> {y!r}")
+            else:
+                worst[name] = max(worst.get(name, 0.0), rel)
+    return worst, other
+
+
+def differences(old: dict, new: dict) -> tuple[list[str], dict]:
+    """One line per request of ``new`` whose record differs from the saved
+    ``old`` one, and the largest relative difference per stdout column."""
+    lines, overall = [], {}
     for key, records in new.items():
         workload, seed = key.rsplit("-", 1)
         saved = old.get(key, [])
         for i, rec in enumerate(records):
+            where = f"{workload} seed {seed} request {i} {rec['argv']}"
             if i >= len(saved):
-                return f"{workload} seed {seed} request {i}: not in the saved records"
-            changed = [f for f in FIELDS if saved[i][f] != rec[f]]
-            if changed:
-                return (f"{workload} seed {seed} request {i} {rec['argv']}: "
-                        f"differs in {', '.join(changed)}")
+                lines.append(f"{where}: not in the saved records")
+                continue
+            if all(saved[i][f] == rec[f] for f in FIELDS):
+                continue
+            parts = [f"rc {'same' if saved[i]['rc'] == rec['rc'] else 'differs'}",
+                     f"stderr {'same' if saved[i]['stderr'] == rec['stderr'] else 'differs'}"]
+            worst, other = stdout_difference(saved[i]["stdout"], rec["stdout"])
+            parts += [f"{name} {rel:.2e}" for name, rel in worst.items()] + other
+            for name, rel in worst.items():
+                overall[name] = max(overall.get(name, 0.0), rel)
+            lines.append(f"{where}: " + ", ".join(parts))
         if len(saved) > len(records):
-            return f"{workload} seed {seed} request {len(records)}: missing from this replay"
-    return None
+            lines.append(f"{workload} seed {seed}: requests {len(records)}.. missing from this replay")
+    return lines, overall
 
 
 def main(argv=None) -> int:
@@ -84,7 +142,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="source tree holding the freeprob package")
     parser.add_argument("--out", help="write every record to this JSON file")
     parser.add_argument("--against", metavar="OLD.json",
-                        help="compare with records written by --out; exit 1 at a difference")
+                        help="compare with records written by --out; report every difference, exit 1")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -104,9 +162,12 @@ def main(argv=None) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(everything, indent=1))
     if args.against:
-        where = first_difference(json.loads(Path(args.against).read_text()), everything)
-        if where:
-            print(f"first difference from {args.against}: {where}")
+        lines, overall = differences(json.loads(Path(args.against).read_text()), everything)
+        if lines:
+            print(*lines, sep="\n")
+            worst = ", ".join(f"{name} {rel:.2e}" for name, rel in overall.items()) or "none"
+            print(f"{len(lines)} requests differ from {args.against}; "
+                  f"largest relative difference per column: {worst}")
             return 1
         print(f"same records as {args.against}")
     return 0
