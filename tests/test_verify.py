@@ -10,14 +10,17 @@ def test_check_passes(name, registry_record):
     registry_record(name)
 
 
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_each_suite_passes(suite, verify_report):
+    checks = [c for c in verify_report["checks"] if c["suite"] == suite]
+    failed = [c for c in checks if not c["passed"]]
+    assert checks and not failed, failed
+
+
 def test_all_runs_everything(verify_report):
     assert verify_report["total"] == len(verify._REGISTRY)
-    assert len({c.name for c in verify._REGISTRY}) == len(verify._REGISTRY)
-    for suite in verify.SUITES:
-        checks = [c for c in verify_report["checks"] if c["suite"] == suite]
-        failed = [c for c in checks if not c["passed"]]
-        assert checks and not failed, (suite, failed)
     assert {c["suite"] for c in verify_report["checks"]} == set(verify.SUITES)
+    assert len({c.name for c in verify._REGISTRY}) == len(verify._REGISTRY)
 
 
 def test_every_record_has_its_wall_time(verify_report):
