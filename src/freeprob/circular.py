@@ -10,10 +10,10 @@ Cauchy transform G(w) is a root of the cubic z^3 - 2 z^2 + (1 - m/w) z - 1/w.
   boundary value rho(t) = |Im G| / pi.  The discriminant factors through the
   support endpoints, D = (m + 1)(t - s-)(s+ - t) / (27 t^3), so it keeps its
   relative precision up to the edges.
-* ``cauchy_transform`` takes the roots from companion-matrix eigenvalues and
+* ``cauchy_transform`` takes the roots by the Aberth-Ehrlich iteration and
   fixes the branch by z ~ 1/w at infinity, tracked by continuation.  It is
-  the oracle that ``verify`` and the tests hold the density against, and the
-  only part of this module that loads numpy.
+  the oracle that ``verify`` and the tests hold the density against; it
+  never uses Cardano, whose closed form is what it checks.
 
 Numerical note: the textbook form of s- loses all precision near lam = 1
 (two ~27-sized terms cancel to O((lam-1)^3)).  The algebraically equivalent
@@ -114,20 +114,39 @@ class CircularSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Cauchy transform by companion roots + branch tracking (the oracle)
+# Cauchy transform by Aberth-Ehrlich roots + branch tracking (the oracle)
 # ---------------------------------------------------------------------------
 
 
-def _cubic_roots(m: float, w: complex):
-    """Roots of z^3 - 2 z^2 + (1 - m/w) z - 1/w = 0, as a numpy array.
+def _cubic_roots(m: float, w: complex, start=None) -> list[complex]:
+    """Roots of p(z) = z^3 - 2 z^2 + (1 - m/w) z - 1/w = 0 by the
+    Aberth-Ehrlich iteration on complex floats.
 
-    Eigenvalues of the companion matrix np.roots builds, with its top row
-    formed as np.roots forms it, so they equal np.roots bit for bit.
+    Each sweep moves every root z_k, in turn, by the Newton step of p divided
+    by the other approximations, z_k -= p / (p' - p sum_{j != k} 1/(z_k - z_j)),
+    which converges cubically to simple roots; it stops once the largest step
+    is at most 1e-13 of its root.  ``start`` is three distinct approximations
+    (the roots at a nearby w: then at most 4 sweeps are needed); without it
+    the iteration starts on a circle about the roots' centroid 2/3 whose
+    radius is Cauchy's bound on their moduli, one plus the largest
+    coefficient (at most 12 sweeps).  At a double root (w at a support
+    endpoint) rounding keeps the steps from shrinking, and the iteration ends
+    after 50 sweeps with the roots as close as floats resolve them.
     """
-    import numpy as np  # the oracle alone needs it; density is closed form
-
-    companion = np.array([[2.0, -(1.0 - m / w), 1.0 / w], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    return np.linalg.eigvals(companion)
+    c1, c0 = 1.0 - m / w, -1.0 / w
+    radius = 1.0 + max(2.0, abs(c1), abs(c0))
+    roots = list(start or [2.0 / 3.0 + radius * complex(math.cos(a), math.sin(a)) for a in (0.4, 2.5, 4.6)])
+    for _ in range(50):
+        largest = 0.0
+        for k, z in enumerate(roots):
+            p = ((z - 2.0) * z + c1) * z + c0
+            pull = 1.0 / (z - roots[k - 1]) + 1.0 / (z - roots[k - 2])  # the other two roots
+            step = p / ((3.0 * z - 4.0) * z + c1 - p * pull)
+            roots[k] = z - step
+            largest = max(largest, abs(step) / abs(z))
+        if largest <= 1e-13:
+            break
+    return roots
 
 
 def _nearest(roots, target: complex) -> complex:
@@ -154,11 +173,13 @@ def cauchy_transform(w: complex, lam: float) -> complex:
     # anchor far above (below) the real axis on the same side as w
     sign = 1.0 if w.imag >= 0 else -1.0
     anchor = complex(w.real, sign * far)
-    z = _nearest(_cubic_roots(spec.m, anchor), 1.0 / anchor)
+    roots = _cubic_roots(spec.m, anchor)
+    z = _nearest(roots, 1.0 / anchor)
     for i in range(1, TRACKING_STEPS + 1):
         frac = 1.0 - (1.0 - i / TRACKING_STEPS) ** 2  # refine toward the endpoint
-        point = anchor + (w - anchor) * frac
-        z = _nearest(_cubic_roots(spec.m, point), z)
+        # warm start: each step moves the roots a little
+        roots = _cubic_roots(spec.m, anchor + (w - anchor) * frac, roots)
+        z = _nearest(roots, z)
     return z
 
 
@@ -186,8 +207,7 @@ def density(lam: float, n_points: int = 512) -> me.SpectralMeasure:
     the relative error is at most 2.1e-12 on grids of 24-80 nodes, and 4e-10
     at the edge nodes of a 2048-node grid for lam in [1.01, 3]; the worst
     node is the one next to an edge, where the rounding of s-/+ in t - s-/+
-    sets it.  The companion-matrix oracle is 1.3-23 times worse on the same
-    nodes.
+    sets it.
 
     The inner support scale sets a grid requirement: near lam = 1 the density
     develops structure at scale s- itself, and the inner lobe is resolved

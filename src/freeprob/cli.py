@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,33 @@ USAGE_ERROR = 2
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _fmt_exact(n: int, d: int) -> str:
+    """The rational n / d (d != 0) to 17 significant digits.
+
+    In the float range the text is format(n / d, ".17g"): _fmt of the
+    correctly rounded float.  Past it (m_{-2k-2} grows without bound as
+    lam -> 1) the text is the exact value correctly rounded to 17 significant
+    digits, from integers alone: a lower bound on the decimal exponent from
+    the bit lengths, raised by comparison, then one integer division rounded
+    half to even (``round`` of a Fraction).
+    """
+    try:
+        x = n / d
+    except OverflowError:
+        x = math.inf
+    if n == 0 or sys.float_info.min <= abs(x) < math.inf:
+        return format(x, ".17g")
+    exact = abs(Fraction(n, d))
+    # 10^(shift + 16) <= exact: the bit lengths bound log10(exact) from below
+    shift = math.floor((n.bit_length() - d.bit_length() - 2) * math.log10(2)) - 16
+    while exact >= Fraction(10) ** (shift + 17):
+        shift += 1
+    digits = str(round(exact / Fraction(10) ** shift))  # 17 digits, or 10^17 rounded up
+    sign = "-" if (n < 0) != (d < 0) else ""
+    mantissa = (digits[0] + "." + digits[1:]).rstrip("0").rstrip(".")
+    return f"{sign}{mantissa}e{shift + len(digits) - 1:+03d}"
 
 
 class CliError(Exception):
@@ -88,55 +116,51 @@ def cmd_moments(args) -> int:
         raise CliError(f"psd route bound is k <= {psd.PROFILE_K_BOUND}")
     if "quadrature" in routes and not model.r_mu_closed_form:
         raise CliError("quadrature route needs the circular closed-form density")
-    # Exact values arrive as unreduced integer pairs n / d: the int division
-    # is the float of the reduced Fraction, so Fractions are built only for
-    # the exact-route discrepancy of --route all.
-    table: dict[str, list[float]] = {}
+    # Exact values arrive as unreduced integer pairs n / d, printed without
+    # normalising a Fraction; Fractions are built only for the discrepancies
+    # of --route all.
+    table: dict[str, list[str]] = {}
     exact: dict[str, list[Fraction]] = {}
     if "lagrange" in routes:
         pairs = se._lagrange_pairs(model, k, lam)
-        table["lagrange"] = [n / d for n, d in pairs]
+        table["lagrange"] = [_fmt_exact(n, d) for n, d in pairs]
         if args.route == "all":
             exact["lagrange"] = [Fraction(n, d) for n, d in pairs]
     if "psd" in routes:
         exact["psd"] = psd.negative_moments_psd(model, k, lam)
-        table["psd"] = [float(x) for x in exact["psd"]]
+        table["psd"] = [_fmt_exact(x.numerator, x.denominator) for x in exact["psd"]]
     if "quadrature" in routes:
         meas = ci.density(float(lam), args.points)
-        table["quadrature"] = [
-            meas.integrate(lambda t, j=j: t ** (-(j + 1.0))) for j in range(k + 1)
-        ]
+        quad = [meas.integrate(lambda t, j=j: t ** (-(j + 1.0))) for j in range(k + 1)]
+        table["quadrature"] = [_fmt(q) for q in quad]
     v = model.v
-    asym = [n / d for n, d in se._asymptotic_pairs(v, k, lam)] if v > 0 else None
+    if v > 0:
+        table["asymptotic"] = [_fmt_exact(n, d) for n, d in se._asymptotic_pairs(v, k, lam)]
 
-    header = ["k", "m_{-2k-2}"] + list(table)
-    if asym:
-        header.append("asymptotic")
-    print("\t".join(header))
+    print("\t".join(["k", "m_{-2k-2}"] + list(table)))
     for j in range(k + 1):
-        row = [str(j), f"m_-{2 * j + 2}"] + [_fmt(table[r][j]) for r in table]
-        if asym:
-            row.append(_fmt(asym[j]))
-        print("\t".join(row))
+        print("\t".join([str(j), f"m_-{2 * j + 2}"] + [table[r][j] for r in table]))
     if args.route == "all":
-        exact_routes = [r for r in ("lagrange", "psd") if r in exact]
-        worst_exact = 0
-        for j in range(k + 1):
-            vals = [exact[r][j] for r in exact_routes]
-            worst_exact = max(worst_exact, max(vals) - min(vals))
+        worst_exact = max(abs(a - b) for a, b in zip(exact["lagrange"], exact["psd"]))
         print(f"exact-route discrepancy: {worst_exact}")
         if "quadrature" in table:
-            worst_quad = max(
-                abs(table["quadrature"][j] - table["lagrange"][j]) / abs(table["lagrange"][j])
-                for j in range(k + 1)
-            )
+            worst_quad = max(_relative_gap(q, x) for q, x in zip(quad, exact["lagrange"]))
             print(f"quadrature relative discrepancy: {_fmt(worst_quad)}")
     return 0
 
 
+def _relative_gap(q: float, x: Fraction) -> float:
+    """|q - x| / |x| for a float q and an exact x != 0: in floats while x
+    fits one, exactly past the float range (inf for an infinite q)."""
+    try:
+        return abs(q - float(x)) / abs(float(x))
+    except OverflowError:
+        return float(abs(Fraction(q) - x) / abs(x)) if math.isfinite(q) else math.inf
+
+
 def cmd_norm(args) -> int:
     model = models.load_model(args.model)
-    v = rv.variance_v(model)
+    v = float(model.v)
     if v == 0:
         print(f"model {model.name!r} has v = 0 (Haar-unitary regime): "
               f"no norm blow-up law applies", file=sys.stderr)

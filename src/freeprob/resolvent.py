@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 from . import noncrossing as nc
-from .cumulants import OrderCapError
 
 SQRT_27_OVER_32 = math.sqrt(27.0 / 32.0)
 TRUNCATED_LAMBDA_GUARD = 1e-4
@@ -51,36 +50,13 @@ class NormResult:
     x_critical: float
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f = {flo}, {fhi}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def _illinois(f, lo: float, hi: float, f_hi: float | None = None) -> float:
     """Root of f on a sign-changing bracket by the Illinois rule.
 
     Each step replaces one end by the secant point, so the bracket always
     holds a sign change; an end kept twice in a row has its value halved,
-    which stops regula falsi from stalling on one side.  Like _bisect it runs
-    to float resolution and returns the point of smallest |f| it evaluated.
+    which stops regula falsi from stalling on one side.  It runs to float
+    resolution and returns the point of smallest |f| it evaluated.
     A secant point that is not strictly inside the bracket (it rounded onto
     an end) is replaced by the midpoint, so a flat or steep f cannot stop the
     search on a wide bracket; the search stops when the midpoint itself
@@ -225,17 +201,6 @@ def rescaled_series_second_derivative(model, lam: float, x: float) -> float:
     return -8.0 * big_l * big_l * x * (2.0 * u + 1.0) / (u**3 * (1.0 + u) ** 2) - x * p
 
 
-def variance_v(model) -> float:
-    """v = ||a||_4^4 - 1; from alpha_2, or from the measure's 2nd moment when
-    the model cannot give alpha_2."""
-    try:
-        return float(model.v)
-    except OrderCapError:
-        if model.aa_star_measure is None:
-            raise ValueError("model carries no fourth-moment data")
-        return model.aa_star_measure.moment(2) - 1.0
-
-
 def find_critical_point(model, lam: float) -> float:
     """The unique x in (0, 1/sqrt(v)) with F'(x) = 0, by Newton's method kept
     inside a sign-change bracket.
@@ -253,7 +218,7 @@ def find_critical_point(model, lam: float) -> float:
     is quadratic in the error of x, so F(x*) is then correct to float
     precision.
     """
-    v = variance_v(model)
+    v = float(model.v)
     if v <= 0:
         raise RegimeError("v = 0: Haar-unitary regime has no norm blow-up law")
     if lam <= 1:
@@ -351,8 +316,7 @@ def resolvent_norm(model, lam: float) -> NormResult:
         norm, m_lambda, x_star = circular_norm_closed_form(lam)
     else:
         norm, m_lambda, x_star = series_norm(model, lam)
-    v = variance_v(model)
-    asym = asymptotic_norm(v, lam)
+    asym = asymptotic_norm(float(model.v), lam)
     route = "series-exact" if model.r_mu_closed_form else "series-truncated"
     return NormResult(
         lam=lam,

@@ -1,6 +1,7 @@
 """Spectral analysis of the shifted circular square modulus."""
 
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -107,6 +108,21 @@ class TestCauchyTransform:
     def test_herglotz(self, registry_record):
         registry_record("cauchy-herglotz")
 
+    @pytest.mark.parametrize("lam", [1.01, 1.5, 10.0])
+    def test_oracle_roots_satisfy_vieta(self, lam):
+        # the Aberth-Ehrlich roots, cold and warm-started from the roots at a
+        # nearby w, give back the cubic's coefficients -2, 1 - m/w and -1/w
+        m = ci.CircularSpectrum.at(lam).m
+        rng = random.Random(9)
+        for _ in range(20):
+            w = complex(rng.uniform(-20, 40), rng.uniform(-10, 10))
+            near = ci._cubic_roots(m, 1.05 * w)
+            for z1, z2, z3 in (ci._cubic_roots(m, w), ci._cubic_roots(m, w, near)):
+                scale = max(1.0, abs(z1), abs(z2), abs(z3))
+                assert abs(z1 + z2 + z3 - 2.0) <= 1e-14 * scale
+                assert abs(z1 * z2 + z1 * z3 + z2 * z3 - (1.0 - m / w)) <= 1e-14 * scale**2
+                assert abs(z1 * z2 * z3 - 1.0 / w) <= 1e-14 * scale**3
+
     def test_support_rejected(self):
         lam = 2.0
         sm, sp = ci.support_endpoints(lam)
@@ -149,8 +165,8 @@ class TestDensity:
     @pytest.mark.parametrize("n", [24, 512])
     @pytest.mark.parametrize("lam", [1.01, 1.1, 1.5, 3.0, 10.0])
     def test_closed_form_matches_companion_roots(self, lam, n):
-        # the closed-form root pair against the eigenvalue oracle at every
-        # node; the worst node (next to an edge) differs by about 1e-10
+        # the closed-form root pair against the Aberth-Ehrlich oracle at every
+        # node; the worst node (next to an edge) differs by about 2e-11
         meas = ci.density(lam, n)
         m = ci.CircularSpectrum.at(lam).m
         for t, rho in zip(meas.grid, meas.density):

@@ -1,15 +1,19 @@
 """CLI behaviour: outputs, determinism, exit codes."""
 
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import freeprob
 from freeprob import cli
@@ -25,6 +29,13 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def decimal_text(x: Fraction) -> str:
+    """x correctly rounded to 17 significant digits, half to even, as .17g writes it."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 17, ROUND_HALF_EVEN
+        return format((Decimal(x.numerator) / Decimal(x.denominator)).normalize(), ".17g")
 
 
 class TestDensityCommand:
@@ -230,6 +241,42 @@ class TestMomentsCommand:
                     for j, x in enumerate(se.negative_moments_lagrange(model, k, lam=lam))]
             assert [row.split("\t")[2:] for row in out.strip().splitlines()[1:]] == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**40), st.integers(0, 700), st.integers(1, 10**40), st.integers(0, 700),
+           st.sampled_from([(1, 1), (-1, 1), (1, -1)]))
+    @example(100000000000000005, 401, 1, 0, (1, 1))  # a tie: half to even rounds down
+    @example(100000000000000015, 401, 1, 0, (1, 1))  # a tie: half to even rounds up
+    @example(99999999999999999500, 400, 1, 0, (1, 1))  # rounds up to a new decade
+    @example(1, 0, 3, 330, (-1, 1))  # below the float range
+    def test_exact_text_against_decimal(self, n, n_exp, d, d_exp, signs):
+        n, d = signs[0] * n * 10**n_exp, signs[1] * d * 10**d_exp
+        try:
+            x = n / d
+        except OverflowError:
+            x = math.inf
+        if sys.float_info.min <= abs(x) < math.inf:
+            assert cli._fmt_exact(n, d) == format(n / d, ".17g")
+        else:
+            assert cli._fmt_exact(n, d) == decimal_text(Fraction(n, d))
+
+    @pytest.mark.parametrize("lam, k, route", [("1.001", 35, "lagrange"), ("1.001", 60, "lagrange"),
+                                               ("1.0000000001", 11, "psd")])
+    def test_exact_columns_past_the_float_range(self, capsys, lam, k, route):
+        code, out, err = run_cli(capsys, "moments", "--route", route, "--lambda", lam, "--k", str(k))
+        assert code == 0 and err == ""
+        lam = Fraction(lam)
+        want = []
+        for j, x in enumerate(se.negative_moments_lagrange(models.circular_model(), k, lam=lam)):
+            row = []
+            for value in (x, se.asymptotic_negative_moment(1, j, lam)):
+                try:
+                    row.append(format(float(value), ".17g"))
+                except OverflowError:
+                    row.append(decimal_text(value))
+            want.append(row)
+        assert [row.split("\t")[2:] for row in out.strip().splitlines()[1:]] == want
+        assert float(want[-1][0]) == math.inf  # the last rows are past the float range
+
     def test_quadrature_zero_points_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "moments", "--lambda", "2", "--route", "quadrature", "--points", "0",
@@ -276,6 +323,18 @@ class TestNormCommand:
         assert code == 2 and out == ""
         assert "v = -2 < 0" in err and "no operator has a negative v" in err
         assert "v = 0" not in err and "Haar" not in err
+
+    def test_model_without_alpha_2_refused(self, tmp_path, capsys):
+        # the atoms give phi((aa*)^2) = 3, but v is alpha_2 + 1, which the
+        # model does not supply: norm refuses as moments does
+        path = tmp_path / "alpha-1-only.json"
+        path.write_text(json.dumps({"name": "alpha-1-only", "alpha": ["1"], "aa_star_measure": {
+            "atoms": [{"x": 0.0, "w": 2 / 3}, {"x": 3.0, "w": 1 / 3}]}}))
+        for argv in (["norm", "--lambda-start", "1.01", "--lambda-end", "1.1", "--steps", "2"],
+                     ["moments", "--lambda", "1.01", "--k", "1", "--route", "lagrange"]):
+            code, out, err = run_cli(capsys, argv[0], "--model", str(path), *argv[1:])
+            assert (code, out) == (2, "")
+            assert "alpha_2 not supplied (order 1)" in err
 
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(
@@ -434,3 +493,55 @@ class TestParser:
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
         assert json.loads(done.stdout) == [[0] * len(runs), False]
+
+    def test_oracles_stay_off_every_request(self, tmp_path):
+        # the same exit codes and stdout with every verify.ORACLES entry patched
+        # to raise, each run in a fresh process so that no cache hides a call
+        two_atom = models.two_atom_model()
+        path = tmp_path / "two-atom.json"
+        path.write_text(json.dumps({
+            "name": "json-two-atom",
+            "alpha": [str(a) for a in two_atom.alpha],
+            "aa_star_measure": {"atoms": [{"x": x, "w": w} for x, w in two_atom.aa_star_measure.atoms]},
+        }))
+        runs = [
+            ["density", "--lambda", "2.3", "--points", "40"],
+            ["density", "--lambda", "1.5", "--points", "40", "--inverse"],
+            ["moments", "--lambda", "3/2", "--k", "4", "--route", "lagrange"],
+            ["moments", "--lambda", "3/2", "--k", "4", "--route", "psd"],
+            ["moments", "--lambda", "3/2", "--k", "4", "--route", "quadrature", "--points", "80"],
+            ["moments", "--lambda", "7/5", "--k", "5", "--route", "all", "--points", "80"],
+            ["moments", "--model", str(path), "--lambda", "7/5", "--k", "5", "--route", "all"],
+            ["norm", "--lambda-start", "1.01", "--lambda-end", "3", "--steps", "5"],
+            ["norm", "--model", "two-atom", "--lambda-start", "1.05", "--lambda-end", "1.2", "--steps", "3"],
+            ["norm", "--model", str(path), "--lambda-start", "1.05", "--lambda-end", "1.2", "--steps", "3"],
+            ["count", "--what", "nc", "--n", "9"],
+            ["count", "--what", "psd", "--k", "3"],
+            ["count", "--what", "psd", "--k", "3", "--profile", "10,0,0,0"],
+            ["count", "--what", "tilings", "--k", "4"],
+        ]
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from freeprob import verify\n"
+            "from freeprob.cli import main\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('an oracle ran for a CLI request')\n"
+            "if sys.argv[1] == 'fenced':\n"
+            "    for owner, name in verify.ORACLES:\n"
+            "        setattr(owner, name, refuse)\n"
+            "records = []\n"
+            f"for argv in {runs!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        records.append([main(argv), out.getvalue()])\n"
+            "print(json.dumps(records))\n"
+        )
+        src = str(Path(freeprob.__file__).resolve().parent.parent)
+        records = {}
+        for mode in ("open", "fenced"):
+            done = subprocess.run([sys.executable, "-c", probe, mode], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+            records[mode] = json.loads(done.stdout)
+        assert [code for code, _ in records["open"]] == [0] * len(runs)
+        assert all(out for _, out in records["open"])
+        assert records["fenced"] == records["open"]

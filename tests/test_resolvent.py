@@ -280,11 +280,14 @@ class TestLowerBound:
 
 class TestVarianceV:
     def test_builtin_values(self, circular_model, haar_model, two_atom_model):
-        assert rv.variance_v(circular_model) == 1.0
-        assert rv.variance_v(haar_model) == 0.0
-        assert rv.variance_v(two_atom_model) == 1.0
+        assert circular_model.v == 1
+        assert haar_model.v == 0
+        assert two_atom_model.v == 1
 
     def test_from_measure_only(self):
+        # v is alpha_2 + 1: a model that stops at alpha_1 has no v, even with
+        # a measure whose second moment would give one, so its norm is refused
         meas = me.SpectralMeasure.from_atoms([(0.0, 0.5), (2.0, 0.5)])
         model = cu.OperatorModel(name="m", alpha=(Fraction(1),), aa_star_measure=meas)
-        assert rv.variance_v(model) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(cu.OrderCapError, match="alpha_2 not supplied"):
+            rv.resolvent_norm(model, 1.1)

@@ -1,7 +1,14 @@
 """The named verification suites themselves: one pytest id per registry check."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import freeprob
 from freeprob import verify
 
 
@@ -46,3 +53,20 @@ def test_crashing_check_reports_failure(monkeypatch):
     assert bad and not bad[0]["passed"]
     assert "injected" in bad[0]["detail"]
     assert bad[0]["seconds"] >= 0
+
+
+def test_verify_loads_no_numpy():
+    # the registry imports, and the checks that drew numpy sample streams,
+    # bisected, or took companion eigenvalues run, on the stdlib alone
+    names = ["k-transform-forms", "support-endpoints-critical-search",
+             "cauchy-functional-inverse", "cauchy-herglotz"]
+    probe = (
+        "import json, sys\n"
+        "from freeprob import verify\n"
+        f"records = [c.fn() for c in verify._REGISTRY if c.name in {names!r}]\n"
+        "print(json.dumps([len(records), all(r['passed'] for r in records), 'numpy' in sys.modules]))\n"
+    )
+    src = str(Path(freeprob.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True)
+    assert json.loads(done.stdout) == [len(names), True, False]
