@@ -37,3 +37,15 @@ __all__ = [
     "series",
     "verify",
 ]
+
+
+def __getattr__(name):
+    """``freeprob.<submodule>`` imports the submodule on first access (PEP 562),
+    so ``import freeprob.cli`` loads only what the CLI needs while every name
+    in ``__all__`` still resolves as an attribute of the package."""
+    if name in __all__:
+        # the builtin __import__ rather than importlib.import_module: `from . import
+        # circular` lands here too, and only the builtin shows in -X importtime
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,14 +24,19 @@ identity (27+36m+8m^2)^2 - (9+8m)^3 = 64 (m+1) m^3 makes the two forms equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import cumulants as cu
 from . import measures as me
 from . import series as se
-from .ring import Poly
+from ._record import FrozenRecord
+
+if TYPE_CHECKING:
+    from .ring import Poly
 
 TRACKING_STEPS = 48  # root-tracking steps from the far anchor to w in cauchy_transform
+# density grid points per unit of sqrt((s+ - s-)/s-) that quadrature needs (see density)
+QUADRATURE_POINTS_PER_LOBE = 8
 
 
 class PoleError(ValueError):
@@ -95,16 +100,15 @@ def inf_spec(lam: float) -> float:
     return 8.0 * lam2 * ((lam - 1.0) * (lam + 1.0)) ** 3 / ((a + b32) * lam2)
 
 
-@dataclass(frozen=True)
-class CircularSpectrum:
+class CircularSpectrum(FrozenRecord):
     """Critical points and support endpoints of |lam - c|^2 at one lam."""
 
-    lam: float
-    m: float
-    z_minus: float
-    z_plus: float
-    s_minus: float
-    s_plus: float
+    _fields = ("lam", "m", "z_minus", "z_plus", "s_minus", "s_plus")
+
+    def __init__(self, lam: float, m: float, z_minus: float, z_plus: float, s_minus: float,
+                 s_plus: float):
+        self.__dict__.update(lam=lam, m=m, z_minus=z_minus, z_plus=z_plus, s_minus=s_minus,
+                             s_plus=s_plus)
 
     @staticmethod
     def at(lam: float) -> "CircularSpectrum":
@@ -209,10 +213,24 @@ def density(lam: float, n_points: int = 512) -> me.SpectralMeasure:
     node is the one next to an edge, where the rounding of s-/+ in t - s-/+
     sets it.
 
-    The inner support scale sets a grid requirement: near lam = 1 the density
-    develops structure at scale s- itself, and the inner lobe is resolved
-    when n_points is at least a few times sqrt((s+ - s-) / s-), which matters
-    only for lam - 1 below ~0.05.
+    The inner support scale sets a grid requirement.  Near lam = 1 the
+    density has an inner lobe of width about s-, where t^(-j-1) puts the
+    weight of a negative moment.  Quadrature against the grid is only as good
+    as the ratio rho = n_points / sqrt((s+ - s-) / s-): the relative error
+    of m_{-2}, ..., m_{-2k-2} by quadrature depends on rho and k alone.  The
+    table gives the worst over lam = 1.05, 1.2, 1.5 and 3, against the exact
+    Lagrange route:
+
+        rho      4        6        8        10       12
+        k <= 6   1.1e-2   5.0e-5   1.1e-7   1.8e-10  6.4e-13
+        k <= 11  9.4e-2   1.5e-3   9.6e-6   3.5e-8   9.0e-11
+        k <= 20  4.3e-1   3.2e-2   7.9e-4   9.9e-6   7.5e-8
+
+    The rule is n_points >= QUADRATURE_POINTS_PER_LOBE * sqrt((s+ - s-) / s-)
+    (``quadrature_points_needed``), rho >= 8: within 1.1e-7 for k <= 6.
+    ``moments --route quadrature`` refuses a grid below it.  80 points meet
+    it for lam >= 1.5, and the default 2048 for lam >= 1.046; at lam = 1.001
+    it takes 604,292.
     """
     spec = CircularSpectrum.at(lam)
     m, s_minus, s_plus = spec.m, spec.s_minus, spec.s_plus
@@ -226,6 +244,13 @@ def density(lam: float, n_points: int = 512) -> me.SpectralMeasure:
         v = -p / (3.0 * u)
         values.append(math.sqrt(3.0 * disc) / (u * u + u * v + v * v) / math.pi)
     return me.SpectralMeasure.from_density(grid, values, weights, "chebyshev-midpoint")
+
+
+def quadrature_points_needed(lam: float) -> int:
+    """The fewest density grid points that resolve the inner lobe at lam:
+    ceil(QUADRATURE_POINTS_PER_LOBE * sqrt((s+ - s-) / s-)), see density."""
+    s_minus, s_plus = support_endpoints(lam)
+    return math.ceil(QUADRATURE_POINTS_PER_LOBE * math.sqrt((s_plus - s_minus) / s_minus))
 
 
 def pushforward_inverse_sqrt(meas: me.SpectralMeasure) -> me.SpectralMeasure:
@@ -259,6 +284,8 @@ def shift_r_transform_coefficients(max_n: int) -> list[Poly]:
     squaring (even moments only) to the square modulus, whose cumulants then
     drop out of the triangular moment solve.
     """
+    from .ring import Poly
+
     lam = Poly.var("lam")
     lam_sq = lam * lam
     # R-series of the symmetrized shifted modulus: semicircle part z plus the

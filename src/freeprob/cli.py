@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
@@ -116,6 +115,14 @@ def cmd_moments(args) -> int:
         raise CliError(f"psd route bound is k <= {psd.PROFILE_K_BOUND}")
     if "quadrature" in routes and not model.r_mu_closed_form:
         raise CliError("quadrature route needs the circular closed-form density")
+    if "quadrature" in routes and args.points < (needed := ci.quadrature_points_needed(float(lam))):
+        # the grid misses the inner lobe (circular.density): refuse, or leave the column out
+        why = (f"--points {args.points} cannot resolve the inner lobe of the density at "
+               f"lambda = {args.lam}; the quadrature route needs --points >= {needed}")
+        if args.route == "quadrature" or args.points < 1:
+            raise CliError(why)
+        print(f"quadrature column omitted: {why}", file=sys.stderr)
+        routes = ("lagrange", "psd")
     # Exact values arrive as unreduced integer pairs n / d, printed without
     # normalising a Fraction; Fractions are built only for the discrepancies
     # of --route all.
@@ -212,7 +219,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify  # the registry loads only for this subcommand
+    import json
+
+    from . import verify  # the registry and json load only for this subcommand
 
     report = verify.run_suite(args.suite)
     json.dump(report, sys.stdout, indent=2)
@@ -241,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--k", type=int, default=3, help="largest k in m_{-2k-2}")
     p.add_argument("--route", choices=("lagrange", "psd", "quadrature", "all"), default="all")
-    p.add_argument("--points", type=int, default=2048, help="quadrature grid size")
+    p.add_argument("--points", type=int, default=2048,
+                   help="quadrature grid size; refused when too coarse for the inner lobe")
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("norm", help="resolvent norm sweep CSV")

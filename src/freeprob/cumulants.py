@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import noncrossing as nc
-from .ring import Poly
+from ._record import FrozenRecord, Record
+
+if TYPE_CHECKING:
+    from .ring import Poly
 
 DEFAULT_ORDER_CAP = 8
 
@@ -27,11 +29,13 @@ class OrderCapError(ValueError):
     """A cumulant beyond the declared maximum order was requested."""
 
 
-@dataclass(frozen=True)
-class LinComb:
+class LinComb(FrozenRecord):
     """Formal linear combination of letters; cumulants extend multilinearly."""
 
-    parts: tuple[tuple[str, object], ...]
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[str, object], ...]):
+        self.__dict__["parts"] = parts
 
     @staticmethod
     def of(mapping: Mapping[str, object]) -> "LinComb":
@@ -186,8 +190,7 @@ def product_cumulant(groups: nc.IntervalPartition, cf: CumulantFunctional, word:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OperatorModel:
+class OperatorModel(Record):
     """An R-diagonal operator described by its determining cumulants.
 
     alpha[l-1] holds the order-2l alternating cumulant alpha_l of the
@@ -207,13 +210,14 @@ class OperatorModel:
     is stored.
     """
 
-    name: str
-    alpha: tuple[Fraction, ...]
-    aa_star_measure: object | None = None
-    r_mu_closed_form: bool = False  # alpha is zero past its stored order
+    _fields = ("name", "alpha", "aa_star_measure", "r_mu_closed_form")
 
-    def __post_init__(self):
-        self.alpha = tuple(Fraction(a) for a in self.alpha)
+    def __init__(self, name: str, alpha: tuple[Fraction, ...], aa_star_measure: object | None = None,
+                 r_mu_closed_form: bool = False):
+        self.name = name
+        self.alpha = tuple(Fraction(a) for a in alpha)
+        self.aa_star_measure = aa_star_measure
+        self.r_mu_closed_form = r_mu_closed_form  # alpha is zero past its stored order
         if not self.alpha or self.alpha[0] != 1:
             raise ValueError("normalization requires alpha_1 = 1")
 
@@ -326,16 +330,14 @@ def alpha_from_aa_star_moments(moments: Sequence[Fraction]) -> list[Fraction]:
 # The shifted circular square modulus, combinatorial route
 # ---------------------------------------------------------------------------
 
-LAM = Poly.var("lam")
 
-
-def _shift_letters():
+def _shift_letters(lam: Poly):
     """Letters of |lam - c|^2 = lam^2 + a1 + a2 with a1 = -lam(c + c*), a2 = c c*.
 
     Returns (word for a1, word for a2): a1 is a single combination letter,
     a2 expands to the two-letter product word (c, c*).
     """
-    a1 = LinComb.of({"c": -LAM, "c*": -LAM})
+    a1 = LinComb.of({"c": -lam, "c*": -lam})
     return (a1,), ("c", "c*")
 
 
@@ -347,6 +349,9 @@ def circular_shift_cumulants(max_n: int) -> list[Poly]:
     expanded c / c* word.  The known closed form is 1 + n lam^2 for n >= 2 and
     1 + lam^2 for n = 1; tests assert this, the function does not.
     """
+    from .ring import Poly
+
+    lam = Poly.var("lam")
     out: list[Poly] = []
     for n in range(1, max_n + 1):
         total = sum(
@@ -354,7 +359,7 @@ def circular_shift_cumulants(max_n: int) -> list[Poly]:
             Poly(),
         )
         if n == 1:
-            total = total + LAM * LAM  # the constant shift only moves the mean
+            total = total + lam * lam  # the constant shift only moves the mean
         out.append(total)
     return out
 
@@ -362,8 +367,10 @@ def circular_shift_cumulants(max_n: int) -> list[Poly]:
 def shift_string_cumulant(string: Sequence[int]) -> Poly:
     """Single choice-string contribution kappa_n[a_{i_1}, ..., a_{i_n}] in the
     circular-shift expansion; ``string`` entries are 1 or 2."""
+    from .ring import Poly
+
     cf = CumulantFunctional.circular(max_order=2 * len(string))
-    word1, word2 = _shift_letters()
+    word1, word2 = _shift_letters(Poly.var("lam"))
     word: list = []
     sizes: list[int] = []
     for b in string:

@@ -15,23 +15,23 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 
-@dataclass
-class SpectralMeasure:
+class SpectralMeasure(Record):
     """Probability measure as point atoms plus a sampled density."""
 
-    atoms: tuple[tuple[float, float], ...] = ()
-    grid: tuple[float, ...] = ()
-    density: tuple[float, ...] = ()
-    weights: tuple[float, ...] = ()
-    quadrature: str = "none"
+    _fields = ("atoms", "grid", "density", "weights", "quadrature")
 
-    def __post_init__(self):
-        self.grid = tuple(map(float, self.grid))
-        self.density = tuple(map(float, self.density))
-        self.weights = tuple(map(float, self.weights))
+    def __init__(self, atoms: tuple[tuple[float, float], ...] = (), grid: tuple[float, ...] = (),
+                 density: tuple[float, ...] = (), weights: tuple[float, ...] = (),
+                 quadrature: str = "none"):
+        self.atoms = atoms
+        self.grid = tuple(map(float, grid))
+        self.density = tuple(map(float, density))
+        self.weights = tuple(map(float, weights))
+        self.quadrature = quadrature
         if not (len(self.grid) == len(self.density) == len(self.weights)):
             raise ValueError("grid, density, weights must have equal length")
         if any(a >= b for a, b in zip(self.grid, self.grid[1:])):

@@ -13,7 +13,6 @@ Three stock models exercise the distinct regimes:
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from . import cumulants as cu
@@ -137,5 +136,7 @@ def load_model(path_or_name: str) -> cu.OperatorModel:
     """Builtin name, or path to a model-spec JSON file."""
     if path_or_name in _BUILDERS:
         return builtin_model(path_or_name)
+    import json  # only a model file needs it: kept off the import of the CLI
+
     with open(path_or_name) as fh:
         return model_from_spec(json.load(fh))

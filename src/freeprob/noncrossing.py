@@ -12,9 +12,10 @@ kept in the test suite as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
+
+from ._record import FrozenRecord
 
 ENUMERATION_BOUND = 18
 PAIRING_BOUND = ENUMERATION_BOUND + 4
@@ -27,12 +28,13 @@ class EnumerationBoundError(ValueError):
     """Requested enumeration exceeds the configured practical bound."""
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(FrozenRecord):
     """A partition of {1..n} into blocks, canonical form."""
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    _fields = ("n", "blocks")
+
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(n=n, blocks=blocks)
 
     @staticmethod
     def of(n: int, blocks) -> "SetPartition":
@@ -58,11 +60,13 @@ class SetPartition:
             raise ValueError("blocks not ordered by minima")
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
+class IntervalPartition(FrozenRecord):
     """Consecutive intervals of sizes (i1, ..., in); the coarse grouping 0-hat."""
 
-    sizes: tuple[int, ...]
+    _fields = ("sizes",)
+
+    def __init__(self, sizes: tuple[int, ...]):
+        self.__dict__["sizes"] = sizes
 
     @staticmethod
     def of(sizes: Sequence[int]) -> "IntervalPartition":
@@ -83,14 +87,16 @@ class IntervalPartition:
         return out
 
 
-@dataclass(frozen=True)
-class AlternationPattern:
+class AlternationPattern(FrozenRecord):
     """Run lengths (n0, m0, ..., nk, mk): n-runs of a* symbols, m-runs of a.
 
     Run lengths may be zero.  The derived word is a*^n0 a^m0 ... a*^nk a^mk.
     """
 
-    runs: tuple[int, ...]
+    _fields = ("runs",)
+
+    def __init__(self, runs: tuple[int, ...]):
+        self.__dict__["runs"] = runs
 
     @staticmethod
     def of(runs: Sequence[int]) -> "AlternationPattern":

@@ -16,12 +16,15 @@ polygons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from . import noncrossing as nc
-from .ring import Poly
+from ._record import FrozenRecord
+
+if TYPE_CHECKING:
+    from .ring import Poly
 
 ENUMERATION_K_BOUND = 4  # enumerate_psd(4) builds 6,550,528 diagrams in about 16 s
 PROFILE_K_BOUND = 11  # a cold profile_table(11) takes 1.0-1.3 s (2-CPU x86 host)
@@ -89,12 +92,13 @@ def _in_closed_arc(v: int, lo: int, hi: int) -> bool:
     return v >= lo or v <= hi
 
 
-@dataclass(frozen=True)
-class PolygonDiagram:
+class PolygonDiagram(FrozenRecord):
     """A set of pairwise compatible polygons on 2(k+1) disc vertices."""
 
-    k: int
-    polygons: tuple[Polygon, ...]
+    _fields = ("k", "polygons")
+
+    def __init__(self, k: int, polygons: tuple[Polygon, ...]):
+        self.__dict__.update(k=k, polygons=polygons)
 
     @staticmethod
     def of(k: int, polygons) -> "PolygonDiagram":
@@ -119,12 +123,13 @@ class PolygonDiagram:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class LabeledDiagram:
+class LabeledDiagram(FrozenRecord):
     """Diagram with positive integer labels; non-degenerate polygons get 1."""
 
-    diagram: PolygonDiagram
-    labels: tuple[int, ...]  # parallel to diagram.polygons
+    _fields = ("diagram", "labels")
+
+    def __init__(self, diagram: PolygonDiagram, labels: tuple[int, ...]):
+        self.__dict__.update(diagram=diagram, labels=labels)  # labels parallel to diagram.polygons
 
     @staticmethod
     def of(diagram: PolygonDiagram, labels) -> "LabeledDiagram":
@@ -484,9 +489,6 @@ def decompress(lp: LabeledDiagram) -> tuple[nc.AlternationPattern, nc.SetPartiti
 # Moment polynomial
 # ---------------------------------------------------------------------------
 
-X = Poly.var("x")  # stands for 1/(lam^2 - 1)
-Y = Poly.var("y")  # stands for 1/lam^2
-
 
 def moment_polynomial(k: int) -> Poly:
     """The two-variable polynomial P_{k+1} with
@@ -501,10 +503,13 @@ def moment_polynomial(k: int) -> Poly:
     No normalization across the relation x - y = x y is applied; compare
     values, not coefficients.
     """
+    from .ring import Poly
+
     _check_profile_k(k)
     top = 2 * k + 1
-    arcs = _arc_sums(top, Poly(), Poly.const(1), X, lambda ell: Y**ell * Poly.var(f"a{ell}"))
-    return Y ** (k + 1) * arcs[top]
+    x, y = Poly.var("x"), Poly.var("y")  # x stands for 1/(lam^2 - 1), y for 1/lam^2
+    arcs = _arc_sums(top, Poly(), Poly.const(1), x, lambda ell: y**ell * Poly.var(f"a{ell}"))
+    return y ** (k + 1) * arcs[top]
 
 
 def negative_moments_psd(model, k: int, lam) -> list:

@@ -23,9 +23,9 @@ converges superlinearly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import noncrossing as nc
+from ._record import FrozenRecord
 
 SQRT_27_OVER_32 = math.sqrt(27.0 / 32.0)
 TRUNCATED_LAMBDA_GUARD = 1e-4
@@ -39,15 +39,13 @@ class BracketError(RuntimeError):
     """Root bracketing failed within the expansion budget."""
 
 
-@dataclass(frozen=True)
-class NormResult:
-    lam: float
-    norm: float
-    m_lambda: float
-    asymptotic: float
-    ratio: float
-    route: str
-    x_critical: float
+class NormResult(FrozenRecord):
+    _fields = ("lam", "norm", "m_lambda", "asymptotic", "ratio", "route", "x_critical")
+
+    def __init__(self, lam: float, norm: float, m_lambda: float, asymptotic: float, ratio: float,
+                 route: str, x_critical: float):
+        self.__dict__.update(lam=lam, norm=norm, m_lambda=m_lambda, asymptotic=asymptotic,
+                             ratio=ratio, route=route, x_critical=x_critical)
 
 
 def _illinois(f, lo: float, hi: float, f_hi: float | None = None) -> float:

@@ -404,18 +404,19 @@ def _cleared_diagram_polynomial(poly):
     """L^dy (L-1)^dx P(1/(L-1), 1/L) with L = lam^2: a diagram polynomial
     over the common denominator L^dy (L-1)^dx, returned with dx and dy."""
     dx, dy = poly.degree("x"), poly.degree("y")
+    L = Poly.var("L")
     total = Poly()
     for mono, coeff in poly.terms.items():
         exps = dict(mono)
         rest = Poly({tuple((n, e) for n, e in mono if n not in ("x", "y")): coeff})
-        denominator_share = se.LAM_SQ ** (dy - exps.get("y", 0)) * (se.LAM_SQ - 1) ** (dx - exps.get("x", 0))
+        denominator_share = L ** (dy - exps.get("y", 0)) * (L - 1) ** (dx - exps.get("x", 0))
         total = total + rest * denominator_share
     return total, dx, dy
 
 
 @_register("negative-moment-closed-forms", "combinatorial")
 def _check_closed_forms():
-    L, v, a2 = se.LAM_SQ, Poly.var("v"), Poly.var("a2")
+    L, v, a2 = Poly.var("L"), Poly.var("v"), Poly.var("a2")
     # m_{-2j-2} = numerators[j] / (L - 1)^{3j+1}, v = alpha_2 + 1
     numerators = [Poly.const(1), L * L - 1 + v]
     v2 = cu.OperatorModel(name="v2", alpha=(Fraction(1), Fraction(1)))
@@ -446,7 +447,7 @@ def _check_closed_forms():
 def _inverse_by_lagrange(model, k, lam=None):
     """g_1, g_3, ..., g_{2k+1}: Lagrange inversion of the rescaled inverse-Cauchy series."""
     if lam is None:
-        kappas, lam_sq = se._mu_cumulants_symbols(model, k + 1), se.LAM_SQ
+        kappas, lam_sq = se._mu_cumulants_symbols(model, k + 1), Poly.var("L")
     else:
         kappas, lam_sq = [model.alpha_at(n) for n in range(1, k + 2)], Fraction(lam) ** 2
     return se.lagrange_invert(se.rescaled_inverse_cauchy(kappas, lam_sq, 2 * k + 1)).coeffs[1::2]

@@ -277,6 +277,32 @@ class TestMomentsCommand:
         assert [row.split("\t")[2:] for row in out.strip().splitlines()[1:]] == want
         assert float(want[-1][0]) == math.inf  # the last rows are past the float range
 
+    def test_quadrature_refused_when_the_grid_misses_the_inner_lobe(self, capsys):
+        needed = ci.quadrature_points_needed(1.001)
+        assert needed == 604292  # 8 sqrt((s+ - s-) / s-): the 2048 default is short by 300x
+        code, out, err = run_cli(capsys, "moments", "--lambda", "1.001", "--k", "3",
+                                 "--route", "quadrature")
+        assert code == 2 and out == ""
+        assert f"needs --points >= {needed}" in err
+        code, out, err = run_cli(capsys, "moments", "--lambda", "1.001", "--k", "3")
+        assert code == 0
+        assert out.splitlines()[0].split("\t") == ["k", "m_{-2k-2}", "lagrange", "psd", "asymptotic"]
+        assert "quadrature" not in out
+        assert "quadrature column omitted: --points 2048" in err
+
+    def test_quadrature_bound_keeps_the_grids_that_resolve(self, capsys):
+        # 80 points reach lam = 3/2, the closest the benchmark's quadrature comes to 1
+        assert ci.quadrature_points_needed(1.5) == 80
+        code, out, _ = run_cli(capsys, "moments", "--lambda", "3/2", "--k", "6",
+                               "--route", "quadrature", "--points", "80")
+        assert code == 0
+        exact = se.negative_moments_lagrange(models.circular_model(), 6, lam=Fraction(3, 2))
+        quad = [float(row.split("\t")[2]) for row in out.strip().splitlines()[1:]]
+        assert quad == pytest.approx([float(x) for x in exact], rel=1.1e-7)
+        code, _, err = run_cli(capsys, "moments", "--lambda", "3/2", "--k", "6",
+                               "--route", "quadrature", "--points", "79")
+        assert code == 2 and "needs --points >= 80" in err
+
     def test_quadrature_zero_points_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "moments", "--lambda", "2", "--route", "quadrature", "--points", "0",
@@ -482,17 +508,28 @@ class TestParser:
             ["count", "--what", "tilings", "--k", "4"],
             ["count", "--what", "psd", "--k", "2"],
         ]
+        # no request needs numpy, dataclasses (and the inspect it brings), the
+        # symbolic ring or the verify registry; json loads only for a model file
+        unneeded = ("numpy", "dataclasses", "inspect", "freeprob.ring", "freeprob.verify")
         probe = (
-            "import contextlib, io, json, sys\n"
-            "from freeprob.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [main(argv) for argv in {runs!r}]\n"
-            "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+            "import contextlib, io, sys\n"
+            "import freeprob.cli\n"
+            "json_at_import = 'json' in sys.modules\n"
+            "records = []\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = freeprob.cli.main(argv)\n"
+            f"    records.append([code, [name for name in {unneeded!r} if name in sys.modules]])\n"
+            "import freeprob, json\n"
+            "print(json.dumps([json_at_import, records, freeprob.ring.Poly.__qualname__]))\n"
         )
         src = str(Path(freeprob.__file__).resolve().parent.parent)
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-        assert json.loads(done.stdout) == [[0] * len(runs), False]
+        json_at_import, records, poly = json.loads(done.stdout)
+        assert not json_at_import
+        assert records == [[0, []]] * len(runs)
+        assert poly == "Poly"  # freeprob.ring still resolves as an attribute of the package
 
     def test_oracles_stay_off_every_request(self, tmp_path):
         # the same exit codes and stdout with every verify.ORACLES entry patched

@@ -142,6 +142,17 @@ class TestNegativeMoments:
         for a, b in zip(exact, floats):
             assert b == pytest.approx(float(a), rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_float_lambda_next_to_one(self, circular_model, two_atom_model, eps):
+        # the reference is exact, at the float lam's own rational value; m formed
+        # as lam*lam - 1 lost 5.0e-8 at eps = 1e-8 for k = 3, (lam - 1)(lam + 1) keeps it
+        lam = 1.0 + eps
+        for model in (circular_model, two_atom_model):
+            exact = se.negative_moments_lagrange(model, 3, lam=Fraction(lam))
+            floats = se.negative_moments_lagrange(model, 3, lam=lam)
+            for k, (x, got) in enumerate(zip(exact, floats)):
+                assert abs(Fraction(got) / x - 1) <= 2e-15, (model.name, k)
+
     def test_symbolic_evaluation_matches_exact(self, two_atom_model):
         sym = se.negative_moments_lagrange(two_atom_model, 3)
         lam = Fraction(7, 5)
