@@ -14,6 +14,10 @@ Modules:
   quadrangulation counts, moment polynomials;
 * ``resolvent``   -- subordination functions, resolvent norms, the sharp
   blow-up asymptotic, moment lower bounds;
+* ``oracles``     -- the brute-force and second routes that ``verify`` and
+  the tests hold the others against: enumerations of NC(n), alternating
+  partitions and diagrams, partition-sum cumulants, formal-series
+  inversion, the Aberth-Ehrlich Cauchy transform, subordination functions;
 * ``verify``      -- named invariant suites;
 * ``cli``         -- command-line frontend (``freeprob``).
 """
@@ -31,6 +35,7 @@ __all__ = [
     "measures",
     "models",
     "noncrossing",
+    "oracles",
     "psd",
     "resolvent",
     "ring",
@@ -49,3 +54,18 @@ def __getattr__(name):
         __import__(f"{__name__}.{name}")
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _oracle_forwarder(module: str, names: tuple[str, ...]):
+    """A module ``__getattr__`` (PEP 562) for ``names`` that moved to
+    ``freeprob.oracles``: each resolves to the object there, and the first
+    access imports that module, which no CLI request does."""
+
+    def __getattr__(name):
+        if name in names:
+            from . import oracles
+
+            return getattr(oracles, name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+    return __getattr__

@@ -10,10 +10,11 @@ Cauchy transform G(w) is a root of the cubic z^3 - 2 z^2 + (1 - m/w) z - 1/w.
   boundary value rho(t) = |Im G| / pi.  The discriminant factors through the
   support endpoints, D = (m + 1)(t - s-)(s+ - t) / (27 t^3), so it keeps its
   relative precision up to the edges.
-* ``cauchy_transform`` takes the roots by the Aberth-Ehrlich iteration and
-  fixes the branch by z ~ 1/w at infinity, tracked by continuation.  It is
-  the oracle that ``verify`` and the tests hold the density against; it
-  never uses Cardano, whose closed form is what it checks.
+* ``oracles.cauchy_transform`` takes the roots by the Aberth-Ehrlich
+  iteration and fixes the branch by z ~ 1/w at infinity, tracked by
+  continuation.  It is the oracle that ``verify`` and the tests hold the
+  density against; it never uses Cardano, whose closed form is what it
+  checks.
 
 Numerical note: the textbook form of s- loses all precision near lam = 1
 (two ~27-sized terms cancel to O((lam-1)^3)).  The algebraically equivalent
@@ -24,27 +25,22 @@ identity (27+36m+8m^2)^2 - (9+8m)^3 = 64 (m+1) m^3 makes the two forms equal.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
-from . import cumulants as cu
+from . import _oracle_forwarder
 from . import measures as me
-from . import series as se
 from ._record import FrozenRecord
 
-if TYPE_CHECKING:
-    from .ring import Poly
+# perfbench/tracer.py wraps cauchy_transform through this module; ROADMAP item 1
+# deletes this forwarder when it re-bases the tracer rows on freeprob.oracles.
+__getattr__ = _oracle_forwarder(__name__, ("cauchy_transform",))
 
-TRACKING_STEPS = 48  # root-tracking steps from the far anchor to w in cauchy_transform
-# density grid points per unit of sqrt((s+ - s-)/s-) that quadrature needs (see density)
+# density grid points per unit of sqrt((s+ - s-)/s-) that quadrature needs
+# for k <= 6; more for larger k (quadrature_points_needed, see density)
 QUADRATURE_POINTS_PER_LOBE = 8
 
 
 class PoleError(ValueError):
     """K-transform evaluated at one of its poles."""
-
-
-class BranchError(ValueError):
-    """Cauchy transform requested on the support where no branch is defined."""
 
 
 def k_transform(z, m):
@@ -118,76 +114,6 @@ class CircularSpectrum(FrozenRecord):
 
 
 # ---------------------------------------------------------------------------
-# Cauchy transform by Aberth-Ehrlich roots + branch tracking (the oracle)
-# ---------------------------------------------------------------------------
-
-
-def _cubic_roots(m: float, w: complex, start=None) -> list[complex]:
-    """Roots of p(z) = z^3 - 2 z^2 + (1 - m/w) z - 1/w = 0 by the
-    Aberth-Ehrlich iteration on complex floats.
-
-    Each sweep moves every root z_k, in turn, by the Newton step of p divided
-    by the other approximations, z_k -= p / (p' - p sum_{j != k} 1/(z_k - z_j)),
-    which converges cubically to simple roots; it stops once the largest step
-    is at most 1e-13 of its root.  ``start`` is three distinct approximations
-    (the roots at a nearby w: then at most 4 sweeps are needed); without it
-    the iteration starts on a circle about the roots' centroid 2/3 whose
-    radius is Cauchy's bound on their moduli, one plus the largest
-    coefficient (at most 12 sweeps).  At a double root (w at a support
-    endpoint) rounding keeps the steps from shrinking, and the iteration ends
-    after 50 sweeps with the roots as close as floats resolve them.
-    """
-    c1, c0 = 1.0 - m / w, -1.0 / w
-    radius = 1.0 + max(2.0, abs(c1), abs(c0))
-    roots = list(start or [2.0 / 3.0 + radius * complex(math.cos(a), math.sin(a)) for a in (0.4, 2.5, 4.6)])
-    for _ in range(50):
-        largest = 0.0
-        for k, z in enumerate(roots):
-            p = ((z - 2.0) * z + c1) * z + c0
-            pull = 1.0 / (z - roots[k - 1]) + 1.0 / (z - roots[k - 2])  # the other two roots
-            step = p / ((3.0 * z - 4.0) * z + c1 - p * pull)
-            roots[k] = z - step
-            largest = max(largest, abs(step) / abs(z))
-        if largest <= 1e-13:
-            break
-    return roots
-
-
-def _nearest(roots, target: complex) -> complex:
-    return min(roots, key=lambda r: abs(r - target))
-
-
-def cauchy_transform(w: complex, lam: float) -> complex:
-    """G_m(w) for w off the support [s-, s+].
-
-    Branch selection: start at an anchor far from the support where the root
-    closest to 1/w is unambiguous (G ~ 1/w at infinity), then track the
-    nearest root along a straight ray from the anchor to w.  Ties at the
-    target resolve toward non-positive imaginary part.
-    """
-    spec = CircularSpectrum.at(lam)
-    w = complex(w)
-    if w == 0:
-        raise BranchError("w = 0 is not in the domain")
-    if abs(w.imag) < 1e-300 and spec.s_minus <= w.real <= spec.s_plus:
-        raise BranchError(f"w = {w} lies on the support [{spec.s_minus}, {spec.s_plus}]")
-    far = 12.0 * max(spec.s_plus, 1.0)
-    if abs(w) >= far:
-        return _nearest(_cubic_roots(spec.m, w), 1.0 / w)
-    # anchor far above (below) the real axis on the same side as w
-    sign = 1.0 if w.imag >= 0 else -1.0
-    anchor = complex(w.real, sign * far)
-    roots = _cubic_roots(spec.m, anchor)
-    z = _nearest(roots, 1.0 / anchor)
-    for i in range(1, TRACKING_STEPS + 1):
-        frac = 1.0 - (1.0 - i / TRACKING_STEPS) ** 2  # refine toward the endpoint
-        # warm start: each step moves the roots a little
-        roots = _cubic_roots(spec.m, anchor + (w - anchor) * frac, roots)
-        z = _nearest(roots, z)
-    return z
-
-
-# ---------------------------------------------------------------------------
 # Density: boundary value of the cubic on the support
 # ---------------------------------------------------------------------------
 
@@ -221,16 +147,23 @@ def density(lam: float, n_points: int = 512) -> me.SpectralMeasure:
     table gives the worst over lam = 1.05, 1.2, 1.5 and 3, against the exact
     Lagrange route:
 
-        rho      4        6        8        10       12
-        k <= 6   1.1e-2   5.0e-5   1.1e-7   1.8e-10  6.4e-13
-        k <= 11  9.4e-2   1.5e-3   9.6e-6   3.5e-8   9.0e-11
-        k <= 20  4.3e-1   3.2e-2   7.9e-4   9.9e-6   7.5e-8
+        rho      4        6        8        10       12       14       16
+        k <= 6   1.1e-2   5.0e-5   1.1e-7   1.8e-10  6.5e-13  5.4e-12  3.2e-12
+        k <= 11  9.4e-2   1.5e-3   9.6e-6   3.5e-8   9.0e-11  6.9e-12  6.2e-12
+        k <= 20  4.3e-1   3.2e-2   7.9e-4   9.9e-6   7.5e-8   3.9e-10  1.0e-11
+        k <= 40  8.2e-1   3.4e-1   4.7e-2   3.2e-3   1.2e-4   3.0e-6   4.9e-8
 
-    The rule is n_points >= QUADRATURE_POINTS_PER_LOBE * sqrt((s+ - s-) / s-)
-    (``quadrature_points_needed``), rho >= 8: within 1.1e-7 for k <= 6.
-    ``moments --route quadrature`` refuses a grid below it.  80 points meet
-    it for lam >= 1.5, and the default 2048 for lam >= 1.046; at lam = 1.001
-    it takes 604,292.
+    (from rho of about 12 on, float rounding sets a floor near 1e-11).  For
+    1e-7 a finer scan needs rho of about 8, 9.5, 12 and 15.5 at k = 6, 11, 20
+    and 40, which rho(k) = max(8, 3 + 2 sqrt(k)) follows: 8, 9.6, 11.9 and
+    15.6.  The rule is n_points >= rho(k) sqrt((s+ - s-) / s-)
+    (``quadrature_points_needed``), with QUADRATURE_POINTS_PER_LOBE = 8 the
+    floor for k <= 6; on the four lam above it keeps the error within 1.1e-7
+    for every k <= 40 and within 1.9e-7 up to k = 80 (where m_{-160} and
+    m_{-162} at lam = 1.05 overflow a float).  ``moments --route
+    quadrature`` refuses a grid below it.  At k <= 6, 80 points meet it for
+    lam >= 1.5, and the default 2048 for lam >= 1.046; at lam = 1.001 it
+    takes 604,292.  At k = 40 and lam = 1.5 it takes 156 points.
     """
     spec = CircularSpectrum.at(lam)
     m, s_minus, s_plus = spec.m, spec.s_minus, spec.s_plus
@@ -246,11 +179,13 @@ def density(lam: float, n_points: int = 512) -> me.SpectralMeasure:
     return me.SpectralMeasure.from_density(grid, values, weights, "chebyshev-midpoint")
 
 
-def quadrature_points_needed(lam: float) -> int:
-    """The fewest density grid points that resolve the inner lobe at lam:
-    ceil(QUADRATURE_POINTS_PER_LOBE * sqrt((s+ - s-) / s-)), see density."""
+def quadrature_points_needed(lam: float, k: int = 0) -> int:
+    """The fewest density grid points whose quadrature resolves the inner
+    lobe at lam for m_{-2}, ..., m_{-2k-2}: ceil(rho(k) sqrt((s+ - s-) / s-))
+    with rho(k) = max(QUADRATURE_POINTS_PER_LOBE, 3 + 2 sqrt(k)), see density."""
     s_minus, s_plus = support_endpoints(lam)
-    return math.ceil(QUADRATURE_POINTS_PER_LOBE * math.sqrt((s_plus - s_minus) / s_minus))
+    rho = max(QUADRATURE_POINTS_PER_LOBE, 3.0 + 2.0 * math.sqrt(k))
+    return math.ceil(rho * math.sqrt((s_plus - s_minus) / s_minus))
 
 
 def pushforward_inverse_sqrt(meas: me.SpectralMeasure) -> me.SpectralMeasure:
@@ -270,60 +205,3 @@ def pushforward_inverse_sqrt(meas: me.SpectralMeasure) -> me.SpectralMeasure:
     w_y = [w * yi**3 / 2.0 for yi, w in zip(y, reversed(meas.weights))]
     return me.SpectralMeasure(atoms, y, rho_y, w_y, meas.quadrature + "+inv-sqrt")
 
-
-# ---------------------------------------------------------------------------
-# The R-transform identity, analytic (series) route
-# ---------------------------------------------------------------------------
-
-
-def shift_r_transform_coefficients(max_n: int) -> list[Poly]:
-    """Cumulants of |lam - c|^2 derived analytically, as polynomials in lam.
-
-    Pipeline: the symmetrized modulus of the shift has R-series
-    z + (sqrt(1 + 4 lam^2 z^2) - 1)/(2z); its free moments push forward under
-    squaring (even moments only) to the square modulus, whose cumulants then
-    drop out of the triangular moment solve.
-    """
-    from .ring import Poly
-
-    lam = Poly.var("lam")
-    lam_sq = lam * lam
-    # R-series of the symmetrized shifted modulus: semicircle part z plus the
-    # positive-root shift term (the negative-root form with opposite sign);
-    # kappa_n of that modulus is the z^{n-1} coefficient.
-    shift = se.negative_root_shift(lam_sq, 2 * max_n - 1)
-    kappas_mu: list[Poly] = []
-    for n in range(1, 2 * max_n + 1):
-        j = n - 1
-        coeff = -Poly.coerce(shift.coeffs[j]) if j <= shift.order else Poly()
-        if n == 2:
-            coeff = coeff + 1
-        kappas_mu.append(coeff)
-    moments_mu = cu.free_moments_from_cumulants(kappas_mu)
-    # squaring pushes the modulus forward onto |lam - c|^2: m_n = m_{2n}(mu)
-    even = [moments_mu[2 * n - 1] for n in range(1, max_n + 1)]
-    return cu.cumulants_from_moments(even)
-
-
-# ---------------------------------------------------------------------------
-# Moments of |lam - c|^2 by direct word expansion (quadrature cross-checks)
-# ---------------------------------------------------------------------------
-
-
-def shift_square_modulus_moment(n: int, lam):
-    """phi(|lam - c|^{2n}) by expanding ((lam - c)(lam - c*))^n into traces of
-    c / c* words and evaluating each combinatorially."""
-    cf = cu.CumulantFunctional.circular(max_order=2 * n)
-    letters = ["c", "c*"] * n
-    total = 0
-    for bits in range(2 ** (2 * n)):
-        word = []
-        coeff = 1
-        for pos in range(2 * n):
-            if (bits >> pos) & 1:
-                word.append(letters[pos])
-                coeff = -coeff
-            else:
-                coeff = coeff * lam
-        total = total + (coeff * cu.moment_from_cumulants(cf, word) if word else coeff)
-    return total

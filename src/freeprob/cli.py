@@ -10,7 +10,9 @@ Subcommands:
 * ``verify``   -- the named invariant suites as a JSON report.
 
 Exit codes: 0 success, 1 verification failure, 2 usage / precondition error.
-Numbers serialize with 17 significant digits; exact rationals as 'p/q'.
+Numbers serialize with 17 significant digits; exact rationals as 'p/q'.  A
+floating-point route never prints nan or inf: where floats cannot resolve
+lambda it refuses the request (exit 2), naming lambda and the route.
 
 ``main(argv)`` can be called again and again in one process (the benchmark
 worker and the tests do): the argparse tree is built on the first call and
@@ -81,14 +83,51 @@ def _parse_lambda_exact(text: str) -> Fraction:
     return lam
 
 
+def _unresolved(route: str, lam: str, why) -> CliError:
+    """The refusal of a floating-point route that cannot resolve lambda.
+
+    Floats carry lambda only so far: lambda^2 overflows past about 1e154,
+    and the support of |lambda - c|^2, about 8 lambda wide at lambda^2, holds
+    fewer floats than the density grid has nodes from about 1e11 (2048 nodes)
+    or 3e12 (512 nodes) on.  There a step overflows, the grid fails its
+    checks (a ValueError), or a value comes out nan or inf; the request is
+    refused (exit 2) naming lambda and the route.
+    """
+    if isinstance(why, OverflowError):
+        why = "a float overflows"
+    return CliError(f"the floating-point {route} route cannot resolve lambda = {lam}: {why}")
+
+
+def _float_lambda(route: str, text: str) -> float:
+    try:
+        lam = float(_parse_lambda_exact(text))
+    except OverflowError as exc:
+        raise _unresolved(route, text, exc) from None
+    if lam == 1.0:
+        raise _unresolved(route, text, "it rounds to 1 as a float")
+    return lam
+
+
+def _require_finite(route: str, lam: str, *columns) -> None:
+    # a sum is finite only if every term is (and a sum that overflows refuses too)
+    if not math.isfinite(sum(map(sum, columns))):
+        raise _unresolved(route, lam, "a value is not finite")
+
+
 # ---------------------------------------------------------------------------
 
 
 def cmd_density(args) -> int:
-    lam = float(_parse_lambda_exact(args.lam))
-    meas = ci.density(lam, args.points)
-    if args.inverse:
-        meas = ci.pushforward_inverse_sqrt(meas)
+    lam = _parse_lambda_exact(args.lam)
+    if args.points < 1:
+        raise CliError(f"--points must be >= 1, got {args.points}")
+    try:
+        meas = ci.density(float(lam), args.points)
+        if args.inverse:
+            meas = ci.pushforward_inverse_sqrt(meas)
+    except (ArithmeticError, ValueError) as exc:
+        raise _unresolved("density", args.lam, exc) from None
+    _require_finite("density", args.lam, meas.grid, meas.density)
     lines = ["t,rho"]
     for t, rho in zip(meas.grid, meas.density):
         lines.append(f"{_fmt(t)},{_fmt(rho)}")
@@ -115,14 +154,16 @@ def cmd_moments(args) -> int:
         raise CliError(f"psd route bound is k <= {psd.PROFILE_K_BOUND}")
     if "quadrature" in routes and not model.r_mu_closed_form:
         raise CliError("quadrature route needs the circular closed-form density")
-    if "quadrature" in routes and args.points < (needed := ci.quadrature_points_needed(float(lam))):
-        # the grid misses the inner lobe (circular.density): refuse, or leave the column out
-        why = (f"--points {args.points} cannot resolve the inner lobe of the density at "
-               f"lambda = {args.lam}; the quadrature route needs --points >= {needed}")
-        if args.route == "quadrature" or args.points < 1:
-            raise CliError(why)
-        print(f"quadrature column omitted: {why}", file=sys.stderr)
-        routes = ("lagrange", "psd")
+    if "quadrature" in routes:
+        try:
+            quad = _quadrature_column(lam, args.lam, k, args.points)
+        except CliError as exc:
+            # the grid misses the inner lobe, or floats cannot resolve lambda:
+            # refuse, or leave the column out
+            if args.route == "quadrature" or args.points < 1:
+                raise
+            print(f"quadrature column omitted: {exc}", file=sys.stderr)
+            routes = ("lagrange", "psd")
     # Exact values arrive as unreduced integer pairs n / d, printed without
     # normalising a Fraction; Fractions are built only for the discrepancies
     # of --route all.
@@ -137,8 +178,6 @@ def cmd_moments(args) -> int:
         exact["psd"] = psd.negative_moments_psd(model, k, lam)
         table["psd"] = [_fmt_exact(x.numerator, x.denominator) for x in exact["psd"]]
     if "quadrature" in routes:
-        meas = ci.density(float(lam), args.points)
-        quad = [meas.integrate(lambda t, j=j: t ** (-(j + 1.0))) for j in range(k + 1)]
         table["quadrature"] = [_fmt(q) for q in quad]
     v = model.v
     if v > 0:
@@ -156,13 +195,33 @@ def cmd_moments(args) -> int:
     return 0
 
 
+def _quadrature_column(lam: Fraction, text: str, k: int, points: int) -> list[float]:
+    """m_{-2}, ..., m_{-2k-2} by quadrature against the circular density on
+    ``points`` nodes.  Refused below ``circular.quadrature_points_needed`` (the
+    grid misses the inner lobe of the density at this k) and where floats
+    cannot resolve lambda."""
+    try:
+        x = float(lam)
+        needed = ci.quadrature_points_needed(x, k)
+        if points < needed:
+            raise CliError(f"--points {points} cannot resolve the inner lobe of the density at "
+                           f"lambda = {text}; the quadrature route needs --points >= {needed} "
+                           f"for k = {k}")
+        meas = ci.density(x, points)
+        quad = [meas.integrate(lambda t, j=j: t ** (-(j + 1.0))) for j in range(k + 1)]
+    except (ArithmeticError, ValueError) as exc:
+        raise _unresolved("quadrature", text, exc) from None
+    _require_finite("quadrature", text, quad)
+    return quad
+
+
 def _relative_gap(q: float, x: Fraction) -> float:
-    """|q - x| / |x| for a float q and an exact x != 0: in floats while x
-    fits one, exactly past the float range (inf for an infinite q)."""
+    """|q - x| / |x| for a finite float q and an exact x != 0: in floats while
+    x fits one, exactly past the float range."""
     try:
         return abs(q - float(x)) / abs(float(x))
     except OverflowError:
-        return float(abs(Fraction(q) - x) / abs(x)) if math.isfinite(q) else math.inf
+        return float(abs(Fraction(q) - x) / abs(x))
 
 
 def cmd_norm(args) -> int:
@@ -176,7 +235,7 @@ def cmd_norm(args) -> int:
         print(f"model {model.name!r} has v = {_fmt(v)} < 0, and no operator has a negative v "
               f"(v = phi((aa*)^2) - 1 >= phi(aa*)^2 - 1 = 0)", file=sys.stderr)
         return USAGE_ERROR
-    start, end = float(_parse_lambda_exact(args.lam_start)), float(_parse_lambda_exact(args.lam_end))
+    start, end = (_float_lambda("norm", text) for text in (args.lam_start, args.lam_end))
     if not start < end:
         raise CliError("need 1 < lambda-start < lambda-end")
     steps = args.steps
@@ -186,6 +245,8 @@ def cmd_norm(args) -> int:
     for i in range(steps):
         lam = start + (end - start) * i / (steps - 1)
         res = rv.resolvent_norm(model, lam)
+        if not math.isfinite(res.norm + res.asymptotic + res.ratio):
+            raise _unresolved("norm", _fmt(lam), "a value is not finite")
         lines.append(
             f"{_fmt(lam)},{_fmt(res.norm)},{_fmt(res.asymptotic)},{_fmt(res.ratio)},{res.route}"
         )

@@ -1,9 +1,11 @@
-"""Free cumulant calculus over non-crossing partitions.
+"""Free cumulant calculus for R-diagonal operators.
 
-Provides the moment <-> cumulant conversions, cumulants with products as
-arguments (sums restricted by the interval-join condition), moments of
-R-diagonal words from their determining cumulant sequence, and the symbolic
-cumulant sequence of the shifted circular square modulus |lam - c|^2.
+Provides the moment <-> cumulant conversions of a single variable, by the
+first-block identity rather than a sum over NC(n), and ``OperatorModel``: an
+R-diagonal operator given by its determining cumulants alpha.  The partition
+sums (cumulants with products as arguments, R-diagonal word moments, the
+cumulants of |lam - c|^2 by word expansion) are the oracles in
+``freeprob.oracles``.
 
 Scalars are exact: Fractions, or ring.Poly for symbolic identities.
 """
@@ -14,116 +16,19 @@ import itertools
 import math
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Sequence
 
-from . import noncrossing as nc
-from ._record import FrozenRecord, Record
+from . import _oracle_forwarder
+from ._record import Record
 
-if TYPE_CHECKING:
-    from .ring import Poly
-
-DEFAULT_ORDER_CAP = 8
+# perfbench/tracer.py wraps rdiag_moment and perfbench/baseline.py calls
+# circular_shift_cumulants through this module; ROADMAP item 1 deletes this
+# forwarder when it re-bases the tracer rows on freeprob.oracles.
+__getattr__ = _oracle_forwarder(__name__, ("rdiag_moment", "circular_shift_cumulants"))
 
 
 class OrderCapError(ValueError):
     """A cumulant beyond the declared maximum order was requested."""
-
-
-class LinComb(FrozenRecord):
-    """Formal linear combination of letters; cumulants extend multilinearly."""
-
-    _fields = ("parts",)
-
-    def __init__(self, parts: tuple[tuple[str, object], ...]):
-        self.__dict__["parts"] = parts
-
-    @staticmethod
-    def of(mapping: Mapping[str, object]) -> "LinComb":
-        return LinComb(tuple(sorted(mapping.items())))
-
-    def items(self):
-        return self.parts
-
-
-def _letter_terms(letter):
-    """Normalize a word entry to [(pure_letter, coefficient), ...]."""
-    if isinstance(letter, LinComb):
-        return list(letter.items())
-    return [(letter, 1)]
-
-
-class CumulantFunctional:
-    """Multilinear free-cumulant functional given by a pure-word table.
-
-    ``table`` maps tuples of pure letters to exact scalars; absent words have
-    cumulant zero.  ``max_order`` caps the block sizes the functional is
-    defined for.  Blocks whose size admits no non-zero table entry are pruned
-    from partition sums.
-    """
-
-    def __init__(self, table: Mapping[tuple, object], max_order: int = DEFAULT_ORDER_CAP):
-        self.table = dict(table)
-        self.max_order = max_order
-        self.nonzero_orders = sorted({len(w) for w, v in self.table.items() if v != 0})
-
-    @classmethod
-    def from_univariate(cls, letter: str, kappas: Sequence, max_order: int | None = None):
-        """Single self-adjoint variable with cumulants kappa_1, kappa_2, ..."""
-        max_order = max_order if max_order is not None else len(kappas)
-        table = {
-            (letter,) * (n + 1): kappas[n]
-            for n in range(min(len(kappas), max_order))
-        }
-        return cls(table, max_order)
-
-    @classmethod
-    def circular(cls, max_order: int = DEFAULT_ORDER_CAP):
-        """Standard circular letters c, c*: the only non-zero cumulants are
-        kappa_2[c, c*] = kappa_2[c*, c] = 1."""
-        return cls({("c", "c*"): Fraction(1), ("c*", "c"): Fraction(1)}, max_order)
-
-    def block_cumulant(self, word: Sequence):
-        """kappa_|word|[word], expanding linear-combination letters."""
-        if len(word) > self.max_order:
-            raise OrderCapError(
-                f"cumulant order {len(word)} beyond declared maximum {self.max_order}"
-            )
-        total = 0
-        stack = [((), 1)]
-        for letter in word:
-            new_stack = []
-            for prefix, coeff in stack:
-                for pure, c in _letter_terms(letter):
-                    new_stack.append((prefix + (pure,), coeff * c))
-            stack = new_stack
-        for pure_word, coeff in stack:
-            val = self.table.get(pure_word, 0)
-            if val != 0:
-                total = total + coeff * val
-        return total
-
-
-def kappa_pi(cf: CumulantFunctional, blocks, word: Sequence):
-    """Product of block cumulants of ``word`` over the given blocks (1-based)."""
-    prod = 1
-    for block in blocks:
-        val = cf.block_cumulant([word[i - 1] for i in block])
-        if val == 0:
-            return 0
-        prod = prod * val
-    return prod
-
-
-def moment_from_cumulants(cf: CumulantFunctional, word: Sequence):
-    """Mixed moment as the sum of kappa_pi over all of NC(len(word))."""
-    n = len(word)
-    if n > nc.ENUMERATION_BOUND:
-        raise nc.EnumerationBoundError(f"word length {n} beyond enumeration bound {nc.ENUMERATION_BOUND}")
-    allowed = [s for s in cf.nonzero_orders if s <= n]
-    total = 0
-    for blocks in nc.enumerate_nc_blocks(range(1, n + 1), allowed):
-        total = total + kappa_pi(cf, blocks, word)
-    return total
 
 
 def _first_block_rows(m: list):
@@ -167,22 +72,6 @@ def cumulants_from_moments(moments: Sequence) -> list:
     for moment, row in zip(moments, _first_block_rows([1] + list(moments))):
         kappas.append(moment - sum(k * c for k, c in zip(kappas, row) if k != 0))
     return kappas
-
-
-def product_cumulant(groups: nc.IntervalPartition, cf: CumulantFunctional, word: Sequence):
-    """kappa_n of grouped products: the sum of kappa_pi over pi in NC(|word|)
-    whose join with the interval partition is the full partition."""
-    n = len(word)
-    if groups.total != n:
-        raise ValueError(f"interval sizes total {groups.total} != word length {n}")
-    allowed = [s for s in cf.nonzero_orders if s <= n]
-    total = 0
-    for blocks in nc.enumerate_nc_blocks(range(1, n + 1), allowed):
-        part = nc.SetPartition.of(n, blocks)
-        if not nc.join_connects(part, groups):
-            continue
-        total = total + kappa_pi(cf, blocks, word)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -296,87 +185,8 @@ class OperatorModel(Record):
                 )
 
 
-def rdiag_moment(model: OperatorModel, pat: nc.AlternationPattern):
-    """Moment of the R-diagonal word given by ``pat``: the sum over alternating
-    non-crossing partitions of products of determining cumulants.
-
-    Zero when the pattern is unbalanced; the empty pattern gives phi(1) = 1.
-    An enumeration oracle for ``verify`` and the tests; models are built and
-    loaded through ``OperatorModel.aa_star_moments``.
-    """
-    if not pat.is_balanced():
-        return Fraction(0)
-    total = Fraction(0)
-    zero_orders = {2 * (ell + 1) for ell, a in enumerate(model.alpha) if a == 0}
-    for part in nc.enumerate_alternating(pat):
-        prod = Fraction(1)
-        for block in part.blocks:
-            size = len(block)
-            if size in zero_orders:
-                prod = Fraction(0)
-                break
-            prod *= model.alpha_at(size // 2)
-        total += prod
-    return total
-
-
 def alpha_from_aa_star_moments(moments: Sequence[Fraction]) -> list[Fraction]:
     """Determining cumulants from phi((a a*)^n): the free cumulants of the
     free cumulants of a a*.  Inverts OperatorModel.aa_star_moments exactly."""
     return cumulants_from_moments(cumulants_from_moments([Fraction(m) for m in moments]))
 
-
-# ---------------------------------------------------------------------------
-# The shifted circular square modulus, combinatorial route
-# ---------------------------------------------------------------------------
-
-
-def _shift_letters(lam: Poly):
-    """Letters of |lam - c|^2 = lam^2 + a1 + a2 with a1 = -lam(c + c*), a2 = c c*.
-
-    Returns (word for a1, word for a2): a1 is a single combination letter,
-    a2 expands to the two-letter product word (c, c*).
-    """
-    a1 = LinComb.of({"c": -lam, "c*": -lam})
-    return (a1,), ("c", "c*")
-
-
-def circular_shift_cumulants(max_n: int) -> list[Poly]:
-    """Exact cumulant sequence of |lam - c|^2 as polynomials in lam.
-
-    kappa_n is assembled by expanding multilinearly over all choice strings in
-    {1, 2}^n and summing interval-connected partition cumulants of the
-    expanded c / c* word.  The known closed form is 1 + n lam^2 for n >= 2 and
-    1 + lam^2 for n = 1; tests assert this, the function does not.
-    """
-    from .ring import Poly
-
-    lam = Poly.var("lam")
-    out: list[Poly] = []
-    for n in range(1, max_n + 1):
-        total = sum(
-            (shift_string_cumulant(string) for string in itertools.product((1, 2), repeat=n)),
-            Poly(),
-        )
-        if n == 1:
-            total = total + lam * lam  # the constant shift only moves the mean
-        out.append(total)
-    return out
-
-
-def shift_string_cumulant(string: Sequence[int]) -> Poly:
-    """Single choice-string contribution kappa_n[a_{i_1}, ..., a_{i_n}] in the
-    circular-shift expansion; ``string`` entries are 1 or 2."""
-    from .ring import Poly
-
-    cf = CumulantFunctional.circular(max_order=2 * len(string))
-    word1, word2 = _shift_letters(Poly.var("lam"))
-    word: list = []
-    sizes: list[int] = []
-    for b in string:
-        part = word2 if b == 2 else word1
-        word.extend(part)
-        sizes.append(len(part))
-    if len(word) > nc.ENUMERATION_BOUND:
-        raise nc.EnumerationBoundError("expansion exceeds enumeration bound")
-    return Poly.coerce(product_cumulant(nc.IntervalPartition.of(sizes), cf, word))

@@ -14,10 +14,8 @@ has a truncated R-series, whose critical point solves no fixed low-degree
 equation, so it is found by Newton's method on F' from circular's critical
 point, kept inside the sign-change bracket that F' guarantees: F, F' and F''
 are polynomials in x and u = sqrt(1 + 4 lam^2 (lam^2 - 1) x^2) with no
-cancelling step.  The subordination equation is smooth in s and each of its
-evaluations integrates over the whole a a* grid, so it is solved on a bracket
-by the Illinois rule (modified regula falsi), which keeps the sign change and
-converges superlinearly.
+cancelling step.  The subordination functions h and h_lam, solved by the
+Illinois rule, are oracles in ``freeprob.oracles``.
 """
 
 from __future__ import annotations
@@ -35,10 +33,6 @@ class RegimeError(ValueError):
     """Requested lam lies outside the regime the model's data can resolve."""
 
 
-class BracketError(RuntimeError):
-    """Root bracketing failed within the expansion budget."""
-
-
 class NormResult(FrozenRecord):
     _fields = ("lam", "norm", "m_lambda", "asymptotic", "ratio", "route", "x_critical")
 
@@ -46,103 +40,6 @@ class NormResult(FrozenRecord):
                  route: str, x_critical: float):
         self.__dict__.update(lam=lam, norm=norm, m_lambda=m_lambda, asymptotic=asymptotic,
                              ratio=ratio, route=route, x_critical=x_critical)
-
-
-def _illinois(f, lo: float, hi: float, f_hi: float | None = None) -> float:
-    """Root of f on a sign-changing bracket by the Illinois rule.
-
-    Each step replaces one end by the secant point, so the bracket always
-    holds a sign change; an end kept twice in a row has its value halved,
-    which stops regula falsi from stalling on one side.  It runs to float
-    resolution and returns the point of smallest |f| it evaluated.
-    A secant point that is not strictly inside the bracket (it rounded onto
-    an end) is replaced by the midpoint, so a flat or steep f cannot stop the
-    search on a wide bracket; the search stops when the midpoint itself
-    equals an end.  ``f_hi``, when given, is f(hi) already evaluated by the
-    caller.
-    """
-    flo = f(lo)
-    fhi = f(hi) if f_hi is None else f_hi
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f = {flo}, {fhi}")
-    kept = 0  # -1 when lo was kept by the last step, +1 when hi was
-    best = min((abs(flo), lo), (abs(fhi), hi))
-    for _ in range(200):
-        x = hi - fhi * (hi - lo) / (fhi - flo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if x == lo or x == hi:
-                break
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        best = min(best, (abs(fx), x))
-        if (fx > 0) == (flo > 0):
-            lo, flo = x, fx
-            if kept == 1:
-                fhi *= 0.5
-            kept = 1
-        else:
-            hi, fhi = x, fx
-            if kept == -1:
-                flo *= 0.5
-            kept = -1
-    return best[1]
-
-
-# ---------------------------------------------------------------------------
-# Subordination functions
-# ---------------------------------------------------------------------------
-
-
-def h_function(meas, s: float) -> float:
-    """h(s) = s * integral (t + s^2)^-1 against the a a* distribution."""
-    if s <= 0:
-        raise ValueError("requires s > 0")
-    s2 = s * s
-    return s * meas.integrate(lambda t: 1.0 / (t + s2))
-
-
-def h_equation_residual(model, lam: float, t: float, s: float) -> float:
-    """Residual of the defining equation (s - t)(1/h(s) - s + t) - lam^2."""
-    h = h_function(model.aa_star_measure, s)
-    return (s - t) * (1.0 / h - s + t) - lam * lam
-
-
-def solve_subordination(model, lam: float, t: float) -> float:
-    """The unique s in (t, inf) with (s - t)(1/h(s) - s + t) = lam^2.
-
-    The left side is 0 at s = t and grows like t * s for large s, so a
-    geometric expansion of the upper endpoint always brackets the root.
-    """
-    if lam <= 0 or t <= 0:
-        raise ValueError("requires lam > 0 and t > 0")
-    if model.aa_star_measure is None:
-        raise ValueError("model supplies no a a* measure")
-
-    def g(s: float) -> float:
-        return h_equation_residual(model, lam, t, s)
-
-    lo = t * (1.0 + 1e-12) + 1e-300
-    hi = max(2.0 * t, 1.0)
-    for _ in range(200):
-        g_hi = g(hi)
-        if g_hi >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise BracketError(f"no bracket for lam={lam}, t={t} within 200 doublings")
-    return _illinois(g, lo, hi, g_hi)
-
-
-def h_lambda(model, lam: float, t: float) -> float:
-    """h_lam(t) = h(s(lam, t)); |lam - a|'s subordinated transform on i R_+."""
-    s_root = solve_subordination(model, lam, t)
-    return h_function(model.aa_star_measure, s_root)
 
 
 # ---------------------------------------------------------------------------

@@ -1,281 +1,37 @@
-"""Truncated formal power series and the negative-moment pipeline.
+"""The negative-moment pipeline: negative moments of the shifted squared
+modulus from the polynomial equation of an inverse series.
 
-Series coefficients can be Fractions, ring.Poly elements, or floats; the
-arithmetic is the same code path.  Truncation is explicit: an operation never
-manufactures coefficients past the shorter operand's order.
-
-The negative moments of the shifted squared modulus come from inverting the
-rescaled series whose functional inverse is the Cauchy transform near zero;
-the rescaling keeps every coefficient polynomial (no square roots appear for
-odd series).  The inverse is solved for coefficient by coefficient from the
-polynomial equation it satisfies; Lagrange inversion and the fixed-point
-iteration stay as its oracles.
+The negative moments come from inverting the rescaled series whose
+functional inverse is the Cauchy transform near zero; the rescaling keeps
+every coefficient polynomial (no square roots appear for odd series).  The
+inverse is solved for coefficient by coefficient from the polynomial
+equation it satisfies, on lists of coefficients that can be Python ints,
+Fractions, floats or ring.Poly elements.  The truncated ``FormalSeries``,
+Lagrange inversion and the fixed-point iteration stay as its oracles, in
+``freeprob.oracles``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Number
 from typing import Sequence
 
+from . import _oracle_forwarder
 from . import noncrossing as nc
+
+# perfbench/tracer.py wraps lagrange_invert through this module; ROADMAP item 1
+# deletes this forwarder when it re-bases the tracer rows on freeprob.oracles.
+__getattr__ = _oracle_forwarder(__name__, ("lagrange_invert",))
 
 
 def _is_zero(c) -> bool:
     return c == 0
 
 
-def _binom_half(ell: int) -> Fraction:
-    """Generalized binomial coefficient binom(1/2, ell), exact."""
-    num = Fraction(1)
-    half = Fraction(1, 2)
-    for j in range(ell):
-        num *= half - j
-    return num / math.factorial(ell)
-
-
-class FormalSeries:
-    """Coefficients c_0..c_order of a truncated power series.
-
-    ``parity`` is 'even', 'odd', or None and is validated at construction.
-    """
-
-    __slots__ = ("coeffs", "order", "parity")
-
-    def __init__(self, coeffs: Sequence, order: int | None = None, parity: str | None = None):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [0] * (order + 1 - len(coeffs))
-        self.coeffs = coeffs[: order + 1]
-        self.order = order
-        self.parity = parity
-        if parity == "odd":
-            bad = [k for k in range(0, order + 1, 2) if not _is_zero(self.coeffs[k])]
-            if bad:
-                raise ValueError(f"odd series has even-index coefficients at {bad}")
-        elif parity == "even":
-            bad = [k for k in range(1, order + 1, 2) if not _is_zero(self.coeffs[k])]
-            if bad:
-                raise ValueError(f"even series has odd-index coefficients at {bad}")
-        elif parity is not None:
-            raise ValueError("parity must be 'even', 'odd', or None")
-
-    # -- basics --------------------------------------------------------------
-
-    def coefficient(self, k: int):
-        if k < 0 or k > self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return all(self.coeffs[k] == other.coeffs[k] for k in range(n + 1))
-
-    def __repr__(self):
-        body = ", ".join(repr(c) for c in self.coeffs[: min(6, self.order + 1)])
-        return f"FormalSeries([{body}, ...], order={self.order})"
-
-    @staticmethod
-    def identity(order: int) -> "FormalSeries":
-        coeffs = [0] * (order + 1)
-        if order >= 1:
-            coeffs[1] = 1
-        return FormalSeries(coeffs, order, parity="odd")
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        order = min(self.order, other.order)
-        coeffs = [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)]
-        parity = self.parity if self.parity == other.parity else None
-        return FormalSeries(coeffs, order, parity)
-
-    def __neg__(self) -> "FormalSeries":
-        return FormalSeries([-c for c in self.coeffs], self.order, self.parity)
-
-    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        return self + (-other)
-
-    def scale(self, factor) -> "FormalSeries":
-        return FormalSeries([c * factor for c in self.coeffs], self.order, self.parity)
-
-    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        order = min(self.order, other.order)
-        out = [0] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if _is_zero(a):
-                continue
-            for j in range(0, order + 1 - i):
-                b = other.coeffs[j]
-                if _is_zero(b):
-                    continue
-                out[i + j] = out[i + j] + a * b
-        parity = None
-        if self.parity and other.parity:
-            parity = "even" if self.parity == other.parity else "odd"
-        return FormalSeries(out, order, parity)
-
-    def compose(self, inner: "FormalSeries") -> "FormalSeries":
-        """self(inner(z)); requires inner(0) = 0."""
-        if not _is_zero(inner.coeffs[0]):
-            raise ValueError("composition needs inner constant term 0")
-        order = min(self.order, inner.order)
-        acc = FormalSeries([0] * (order + 1), order)
-        pw = FormalSeries([1], order)
-        for k in range(order + 1):
-            c = self.coeffs[k] if k <= self.order else 0
-            if not _is_zero(c):
-                acc = acc + pw.scale(c)
-            if k < order:
-                pw = pw * inner
-        return acc
-
-    def reciprocal(self) -> "FormalSeries":
-        """1 / self; constant term must be an invertible scalar or unit Poly."""
-        c0 = self.coeffs[0]
-        inv0 = _invert_unit(c0)
-        out = [inv0] + [0] * self.order
-        for k in range(1, self.order + 1):
-            s = 0
-            for j in range(1, k + 1):
-                cj = self.coeffs[j]
-                if _is_zero(cj):
-                    continue
-                s = s + cj * out[k - j]
-            out[k] = -inv0 * s
-        return FormalSeries(out, self.order)
-
-
-def _invert_unit(c):
-    if not isinstance(c, Number):  # a ring.Poly
-        if not c.is_constant():
-            raise ZeroDivisionError("series constant term is a non-constant polynomial")
-        c = c.constant_value()
-    if c == 0:
-        raise ZeroDivisionError("series constant term is zero")
-    return Fraction(1) / Fraction(c) if isinstance(c, (int, Fraction)) else 1.0 / c
-
-
-def _divide_by_int(c, k: int):
-    if isinstance(c, float):
-        return c / k
-    if not isinstance(c, Number):  # a ring.Poly
-        return c * Fraction(1, k)
-    return Fraction(c) / k
-
-
-# ---------------------------------------------------------------------------
-# Square-root series
-# ---------------------------------------------------------------------------
-
-
-def sqrt_one_plus(c, order: int) -> FormalSeries:
-    """sqrt(1 + c z^2) as a truncated even series via the binomial expansion."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    coeffs = [0] * (order + 1)
-    ell = 0
-    while 2 * ell <= order:
-        coeffs[2 * ell] = _binom_half(ell) * c**ell
-        ell += 1
-    return FormalSeries(coeffs, order, parity="even")
-
-
-def negative_root_shift(lam_sq, order: int) -> FormalSeries:
-    """(1 - sqrt(1 + 4 lam_sq z^2)) / (2 z) as an odd truncated series.
-
-    Leading coefficients: -lam^2 z + lam^4 z^3 - 2 lam^6 z^5 - ...
-    """
-    root = sqrt_one_plus(4 * _coerce_scalar(lam_sq), order + 1)
-    coeffs = [0] * (order + 1)
-    for k in range(1, order + 1, 2):
-        coeffs[k] = _divide_by_int(-root.coeffs[k + 1], 2)
-    return FormalSeries(coeffs, order, parity="odd")
-
-
-def negative_root_shift_catalan(lam_sq, order: int) -> FormalSeries:
-    """Same series via signed Catalan numbers; cross-check of the binomial form."""
-    coeffs = [0] * (order + 1)
-    ell = 1
-    while 2 * ell - 1 <= order:
-        sign = -1 if ell % 2 else 1
-        coeffs[2 * ell - 1] = sign * nc.catalan(ell - 1) * _coerce_scalar(lam_sq) ** ell
-        ell += 1
-    return FormalSeries(coeffs, order, parity="odd")
-
-
 def _coerce_scalar(x):
     """Fraction for an exact rational; a float or a ring.Poly as it is."""
     return Fraction(x) if isinstance(x, (int, Fraction)) else x
-
-
-# ---------------------------------------------------------------------------
-# Inversion
-# ---------------------------------------------------------------------------
-
-
-def lagrange_invert(f: FormalSeries) -> FormalSeries:
-    """Compositional inverse of f with f(0) = 0, f'(0) invertible.
-
-    Coefficient k of the inverse is Res(f^{-k}, 0) / k, computed as the
-    z^{k-1} coefficient of (z / f)^k.
-    """
-    if not _is_zero(f.coeffs[0]):
-        raise ValueError("inversion needs f(0) = 0")
-    order = f.order
-    u = FormalSeries(f.coeffs[1:], order - 1)  # f / z
-    inv_u = u.reciprocal()  # (z / f)
-    out = [0] * (order + 1)
-    pw = FormalSeries([1], order - 1)
-    for k in range(1, order + 1):
-        pw = pw * inv_u
-        out[k] = _divide_by_int(pw.coefficient(k - 1), k)
-    parity = "odd" if f.parity == "odd" else None
-    return FormalSeries(out, order, parity)
-
-
-def invert_by_iteration(f: FormalSeries) -> FormalSeries:
-    """Inverse by fixed-point refinement; independent oracle for lagrange_invert."""
-    if not _is_zero(f.coeffs[0]):
-        raise ValueError("inversion needs f(0) = 0")
-    order = f.order
-    inv_f1 = _invert_unit(f.coeffs[1])
-    g = FormalSeries.identity(order).scale(inv_f1)
-    ident = FormalSeries.identity(order)
-    for _ in range(order + 1):
-        residual = f.compose(g) - ident
-        g = g - residual.scale(inv_f1)
-    return g
-
-
-# ---------------------------------------------------------------------------
-# The negative-moment pipeline
-# ---------------------------------------------------------------------------
-
-
-def rescaled_inverse_cauchy(mu_kappas: Sequence, lam_sq, order: int) -> FormalSeries:
-    """Unit-slope rescaling of the inverse-Cauchy series.
-
-    With b_{2l-1} = kappa_{2l}(mu) + (-1)^l Catalan(l-1) lam^{2l} the rescaled
-    coefficients are f_1 = 1 and f_{2j+1} = -b_{2j+1} (lam^2-1)^{j-1}; only
-    integer powers of (lam^2 - 1) appear, so the result stays in the ring.
-    """
-    m = _coerce_scalar(lam_sq) - 1
-    coeffs = [0] * (order + 1)
-    if order >= 1:
-        coeffs[1] = Fraction(1) if not isinstance(m, float) else 1.0
-    for j in range(1, (order - 1) // 2 + 1):
-        ell = j + 1
-        kap = mu_kappas[ell - 1] if ell - 1 < len(mu_kappas) else 0
-        sign = -1 if ell % 2 else 1
-        b = kap + sign * nc.catalan(ell - 1) * _coerce_scalar(lam_sq) ** ell
-        coeffs[2 * j + 1] = -b * m ** (j - 1)
-    return FormalSeries(coeffs, order, parity="odd")
 
 
 def _product_coefficient(a: list, b: list, j: int):
@@ -299,10 +55,10 @@ def _square_coefficient(a: list, j: int):
 
 def solve_inverse_equation(mu_kappas: Sequence, m, k: int) -> tuple[list, object]:
     """(H, C) with g_{2j+1} = H_j / C^j for j = 0 .. k, where g is the
-    compositional inverse of rescaled_inverse_cauchy(mu_kappas, m + 1, 2k + 1),
-    found without inverting it.  ``m`` is lam^2 - 1, which the caller forms:
-    a float m is best formed as (lam - 1)(lam + 1), which keeps its digits
-    next to lam = 1.
+    compositional inverse of oracles.rescaled_inverse_cauchy(mu_kappas, m + 1,
+    2k + 1), found without inverting it.  ``m`` is lam^2 - 1, which the
+    caller forms: a float m is best formed as (lam - 1)(lam + 1), which keeps
+    its digits next to lam = 1.
 
     The shift term T = (1 - sqrt(1 + 4 lam^2 z^2))/(2z) solves
     z T^2 - T - lam^2 z = 0.  Substituting T = F - R_mu, F(G(w)) = w and the
@@ -378,10 +134,10 @@ def negative_moments_lagrange(model, k: int, lam=None):
     """m_{-2}(mu_lam), ..., m_{-2k-2}(mu_lam): m_{-2j-2} = g_{2j+1} / m^{3j+1}.
 
     g is the compositional inverse of the rescaled inverse-Cauchy series
-    (``rescaled_inverse_cauchy``), m = lam^2 - 1.  Its coefficients come from
-    the polynomial equation g satisfies (``solve_inverse_equation``), not by
-    Lagrange inversion; ``lagrange_invert`` stays as the oracle in verify
-    and the tests, and the route keeps the name ``lagrange``.
+    (``oracles.rescaled_inverse_cauchy``), m = lam^2 - 1.  Its coefficients
+    come from the polynomial equation g satisfies (``solve_inverse_equation``),
+    not by Lagrange inversion; ``oracles.lagrange_invert`` stays as the
+    oracle in verify and the tests, and the route keeps the name ``lagrange``.
 
     ``lam`` = None gives the symbolic answer: a list of RationalExpr in the
     symbols L (= lam^2), v, a3, a4, ... as supplied by the model; a Fraction

@@ -30,6 +30,7 @@ from . import circular as ci
 from . import cumulants as cu
 from . import models
 from . import noncrossing as nc
+from . import oracles
 from . import psd
 from . import resolvent as rv
 from . import series as se
@@ -37,19 +38,18 @@ from .ring import Poly, RationalExpr
 
 
 # Every brute-force or second route that the checks hold the package's
-# results against, as (owner, attribute) pairs.  No request of the other
-# subcommands may reach one: a test patches them all to raise and replays a
-# request on every subcommand and route.
-ORACLES = (
-    (nc, "enumerate_nc"), (nc, "enumerate_nc_pairings"), (nc, "enumerate_alternating"),
-    (se, "negative_root_shift_catalan"), (se, "rescaled_inverse_cauchy"),
-    (se, "lagrange_invert"), (se, "invert_by_iteration"),
-    (ci, "cauchy_transform"), (ci, "_cubic_roots"), (rv, "solve_subordination"),
-    (psd, "enumerate_psd"), (psd, "quadrangulations"), (psd, "compress"), (psd, "decompress"),
-    (cu, "moment_from_cumulants"), (cu, "product_cumulant"), (cu, "rdiag_moment"),
-    (cu, "circular_shift_cumulants"), (ci, "shift_r_transform_coefficients"),
-    (ci, "shift_square_modulus_moment"),
-)
+# results against, as (owner, attribute) pairs; all are in freeprob.oracles.
+# No request of the other subcommands may reach one: a test patches them all
+# to raise and replays a request on every subcommand and route, and another
+# checks that the CLI does not even import their module.
+ORACLES = tuple((oracles, name) for name in (
+    "enumerate_nc", "enumerate_nc_pairings", "enumerate_alternating",
+    "negative_root_shift_catalan", "rescaled_inverse_cauchy", "lagrange_invert",
+    "invert_by_iteration", "cauchy_transform", "_cubic_roots", "solve_subordination",
+    "enumerate_psd", "quadrangulations", "compress", "decompress", "moment_from_cumulants",
+    "product_cumulant", "rdiag_moment", "circular_shift_cumulants",
+    "shift_r_transform_coefficients", "shift_square_modulus_moment",
+))
 
 
 class Check:
@@ -82,7 +82,7 @@ def _record(passed, residual, tolerance, detail=""):
 @_register("nc-catalan-counts", "combinatorial")
 def _check_nc_counts():
     for n in range(1, 11):
-        count = sum(1 for _ in nc.enumerate_nc(n))
+        count = sum(1 for _ in oracles.enumerate_nc(n))
         if count != nc.count_nc(n):
             return _record(False, abs(count - nc.count_nc(n)), 0, f"NC({n}) = {count}")
     return _record(True, 0.0, 0, "NC(n) counts are count_nc(n) = Catalan(n) for n <= 10")
@@ -91,7 +91,7 @@ def _check_nc_counts():
 @_register("nc-pairing-counts", "combinatorial")
 def _check_pairing_counts():
     for n in range(2, 15, 2):
-        count = sum(1 for _ in nc.enumerate_nc_pairings(n))
+        count = sum(1 for _ in oracles.enumerate_nc_pairings(n))
         if count != nc.fuss_catalan(1, n // 2):
             return _record(False, 1, 0, f"NC2({n}) = {count}")
     return _record(True, 0.0, 0, "pairing counts are Catalan for n <= 14")
@@ -100,9 +100,9 @@ def _check_pairing_counts():
 @_register("nc-unique-connecting-pairing", "combinatorial")
 def _check_unique_pairing():
     for n in range(1, 7):
-        iv = nc.IntervalPartition.of((2,) * n)
-        found = [p for p in nc.enumerate_nc_pairings(2 * n) if nc.join_connects(p, iv)]
-        expected = nc.SetPartition.of(
+        iv = oracles.IntervalPartition.of((2,) * n)
+        found = [p for p in oracles.enumerate_nc_pairings(2 * n) if oracles.join_connects(p, iv)]
+        expected = oracles.SetPartition.of(
             2 * n, [[1, 2 * n]] + [[2 * i, 2 * i + 1] for i in range(1, n)]
         )
         if found != [expected]:
@@ -120,9 +120,9 @@ def _check_two_ones():
             total = sum(sizes)
             if total % 2:
                 continue
-            iv = nc.IntervalPartition.of(sizes)
+            iv = oracles.IntervalPartition.of(sizes)
             connects = any(
-                nc.join_connects(p, iv) for p in nc.enumerate_nc_pairings(total)
+                oracles.join_connects(p, iv) for p in oracles.enumerate_nc_pairings(total)
             )
             ones = bits.count(1)
             if connects and ones != 2:
@@ -135,21 +135,21 @@ def _check_alternating_subset():
     pats = [(1, 1), (2, 2), (1, 2, 2, 1), (2, 1, 1, 2), (3, 1, 1, 3), (3, 2, 2, 3), (2, 3, 3, 2),
             (1, 1, 1, 1, 1, 1)]
     for runs in pats:
-        pat = nc.AlternationPattern.of(runs)
+        pat = oracles.AlternationPattern.of(runs)
         letters = pat.letters()
         # brute-force filter: the NC partitions whose blocks are even and alternate a / a*
         oracle = {
             p.blocks
-            for p in nc.enumerate_nc(pat.word_length)
+            for p in oracles.enumerate_nc(pat.word_length)
             if all(
                 len(b) % 2 == 0 and all(letters[x - 1] != letters[y - 1] for x, y in zip(b, b[1:]))
                 for b in p.blocks
             )
         }
-        members = list(nc.enumerate_alternating(pat))
+        members = list(oracles.enumerate_alternating(pat))
         if {p.blocks for p in members} != oracle or len(members) != len(oracle):
             return _record(False, 1, 0, f"{runs}: enumeration differs from the NC filter")
-        if not all(nc.is_noncrossing(p) for p in members):
+        if not all(oracles.is_noncrossing(p) for p in members):
             return _record(False, 1, 0, f"{runs}: crossing member")
     return _record(True, 0.0, 0, "alternating partitions equal the filtered NC partitions, "
                                  "word length <= 10")
@@ -171,7 +171,7 @@ def _check_roundtrip():
 @_register("circular-shift-cumulants", "combinatorial")
 def _check_shift_cumulants():
     lam = Poly.var("lam")
-    ks = cu.circular_shift_cumulants(7)
+    ks = oracles.circular_shift_cumulants(7)
     for n in range(3, 8):
         if ks[n - 1] != 1 + n * lam * lam:
             return _record(False, 1, 0, f"kappa_{n} = {ks[n-1]!r}")
@@ -190,7 +190,7 @@ def _check_adjacent_ones():
             if not (has_sub(bits, (1, 2, 1, 2)) or has_sub(bits, (2, 1, 2, 1))):
                 continue
             # strings with the listed substrings must contribute zero
-            val = cu.shift_string_cumulant(bits)
+            val = oracles.shift_string_cumulant(bits)
             if not val.is_zero():
                 return _record(False, 1, 0, f"string {bits} contributes {val!r}")
     return _record(True, 0.0, 0, "strings containing 1212 or 2121 contribute 0, n <= 6")
@@ -208,10 +208,10 @@ def _check_rdiag_agreement():
         word_s = tuple(["a*", "a"] * ell)
         table[word_a] = Fraction(1)
         table[word_s] = Fraction(1)
-    cf = cu.CumulantFunctional(table, max_order=10)
+    cf = oracles.CumulantFunctional(table, max_order=10)
     for n in range(1, 6):
-        general = cu.moment_from_cumulants(cf, ["a", "a*"] * n)
-        special = cu.rdiag_moment(model, nc.AlternationPattern.of((1, 1) * n))
+        general = oracles.moment_from_cumulants(cf, ["a", "a*"] * n)
+        special = oracles.rdiag_moment(model, oracles.AlternationPattern.of((1, 1) * n))
         if general != special:
             return _record(False, 1, 0, f"n={n}: {general} != {special}")
     return _record(True, 0.0, 0, "alternating enumeration matches generic NC sum, n <= 5")
@@ -241,7 +241,7 @@ def _check_aa_star_transform():
         cases.append((cu.OperatorModel(name=f"dyadic-{i}", alpha=alpha), moments))
     for model, moments in cases:
         enumerated = [
-            cu.rdiag_moment(model, nc.AlternationPattern.of((1, 1) * n))
+            oracles.rdiag_moment(model, oracles.AlternationPattern.of((1, 1) * n))
             for n in range(1, model.order + 1)
         ]
         if model.aa_star_moments() != enumerated:
@@ -260,9 +260,9 @@ def _check_aa_star_transform():
 
 @_register("cumulant-multilinearity", "combinatorial")
 def _check_multilinearity():
-    cf = cu.CumulantFunctional.circular(max_order=4)
+    cf = oracles.CumulantFunctional.circular(max_order=4)
     lam = Poly.var("lam")
-    combo = cu.LinComb.of({"c": 1 + lam, "c*": Fraction(2)})
+    combo = oracles.LinComb.of({"c": 1 + lam, "c*": Fraction(2)})
     for n in range(2, 5):
         direct = cf.block_cumulant([combo] * n)
         expanded = Poly()
@@ -300,7 +300,7 @@ def _check_quadrangulations():
         got = psd.count_quadrangulations(k)
         if got != expected[k]:
             return _record(False, abs(got - expected[k]), 0, f"k={k}: {got}")
-        tilings = psd.quadrangulations(k)
+        tilings = oracles.quadrangulations(k)
         if len(tilings) != got:
             return _record(False, abs(len(tilings) - got), 0, f"k={k}: {len(tilings)} tilings built")
         if any(len(segments) != 3 * k + 1 for segments in tilings):
@@ -312,7 +312,7 @@ def _check_quadrangulations():
 def _enumerated_profile_table(k):
     """The oracle of ``psd.profile_table``: profiles tallied over every built diagram."""
     table: dict[tuple[int, ...], int] = {}
-    for diagram in psd.enumerate_psd(k):
+    for diagram in oracles.enumerate_psd(k):
         table[diagram.profile()] = table.get(diagram.profile(), 0) + 1
     return table
 
@@ -347,9 +347,9 @@ def _check_bijection():
     seen = set()
     for k in range(0, 3):
         for pat in _patterns(k, 4):
-            for part in nc.enumerate_alternating(pat):
-                lp = psd.compress(pat, part)
-                pat2, part2 = psd.decompress(lp)
+            for part in oracles.enumerate_alternating(pat):
+                lp = oracles.compress(pat, part)
+                pat2, part2 = oracles.decompress(lp)
                 if pat2 != pat or part2 != part:
                     return _record(False, 1, 0, f"round trip failed at {pat.runs}")
                 prof = [0] * (k + 1)
@@ -364,7 +364,7 @@ def _check_bijection():
                 count += 1
     surjective = 0
     for k in range(0, 3):
-        for diagram in psd.enumerate_psd(k):
+        for diagram in oracles.enumerate_psd(k):
             for labels in _labelings_within(diagram, 8):
                 surjective += 1
                 if (k, diagram.polygons, labels) not in seen:
@@ -450,7 +450,7 @@ def _inverse_by_lagrange(model, k, lam=None):
         kappas, lam_sq = se._mu_cumulants_symbols(model, k + 1), Poly.var("L")
     else:
         kappas, lam_sq = [model.alpha_at(n) for n in range(1, k + 2)], Fraction(lam) ** 2
-    return se.lagrange_invert(se.rescaled_inverse_cauchy(kappas, lam_sq, 2 * k + 1)).coeffs[1::2]
+    return oracles.lagrange_invert(oracles.rescaled_inverse_cauchy(kappas, lam_sq, 2 * k + 1)).coeffs[1::2]
 
 
 @_register("inverse-equation-vs-lagrange", "combinatorial")
@@ -511,7 +511,7 @@ def _patterns(k, max_half):
                 runs = []
                 for a, b in zip(ns, ms):
                     runs.extend([a, b])
-                yield nc.AlternationPattern.of(runs)
+                yield oracles.AlternationPattern.of(runs)
 
 
 def _labelings_within(diagram, budget):
@@ -567,8 +567,8 @@ def _check_support_search():
         # (positive between its roots, negative outside)
         num = lambda z: 1.0 - 3.0 * z - 2.0 * m * z * z
         mid = 0.5 * (zm + zp)
-        z_minus = rv._illinois(num, zm - 1.0, mid)
-        z_plus = rv._illinois(num, mid, zp + (zp - zm))
+        z_minus = oracles._illinois(num, zm - 1.0, mid)
+        z_plus = oracles._illinois(num, mid, zp + (zp - zm))
         sm, sp = ci.support_endpoints(lam)
         for z_found, s_ref in ((z_minus, sm), (z_plus, sp), (zm, sm), (zp, sp)):
             diff = abs(ci.k_transform(z_found, m) - s_ref) / max(1.0, abs(s_ref))
@@ -599,7 +599,7 @@ def _check_cauchy_inverse():
                 w = complex(uniform(-15, 25), uniform(-8, 8))
                 if abs(w.imag) < 1e-2 and spec.s_minus - 1 < w.real < spec.s_plus + 1:
                     continue
-                g = ci.cauchy_transform(w, lam)
+                g = oracles.cauchy_transform(w, lam)
                 worst = max(worst, abs(ci.k_transform(g, spec.m) - w))
                 n += 1
     return _record(worst < 1e-10, worst, 1e-10, "K(G(w)) = w at 100 off-support points")
@@ -614,7 +614,7 @@ def _check_herglotz():
         for lam in lams:
             for _ in range(25):
                 w = complex(uniform(*re_range), uniform(*im_range))
-                worst = max(worst, ci.cauchy_transform(w, lam).imag)
+                worst = max(worst, oracles.cauchy_transform(w, lam).imag)
     return _record(worst <= 1e-12, max(worst, 0.0), 1e-12, "G maps C+ into the closed lower half-plane")
 
 
@@ -657,7 +657,7 @@ def _check_density_fourth():
     worst = 0.0
     for lam in (1.5, 2.0):
         meas = ci.density(lam, 1024)
-        expected = float(ci.shift_square_modulus_moment(2, Fraction(lam).limit_denominator(100)))
+        expected = float(oracles.shift_square_modulus_moment(2, Fraction(lam).limit_denominator(100)))
         got = meas.moment(2)
         worst = max(worst, abs(got - expected) / expected)
     return _record(worst < 1e-5, worst, 1e-5, "second moment of the density vs combinatorial value")
@@ -668,8 +668,8 @@ def _check_r_identity():
     # both derivations give the cumulants of |lam - c|^2: kappa_n = 1 + n lam^2,
     # the coefficients of the closed form 1/(1-z) + lam^2/(1-z)^2
     lam = Poly.var("lam")
-    analytic = ci.shift_r_transform_coefficients(8)
-    combinatorial = cu.circular_shift_cumulants(8)
+    analytic = oracles.shift_r_transform_coefficients(8)
+    combinatorial = oracles.circular_shift_cumulants(8)
     for n, (a, b) in enumerate(zip(analytic, combinatorial), start=1):
         if a != 1 + n * lam * lam or b != a:
             return _record(False, 1.0, 0, f"kappa_{n}: analytic {a!r}, combinatorial {b!r}")
@@ -688,12 +688,12 @@ def _check_subordination():
     points = [(1.7, 0.25 + 0.15 * i) for i in range(20)]
     points += [(lam, t) for lam in (1.4, 2.2) for t in (0.3, 0.8, 1.5, 2.5, 4.0)]
     for lam, t in points:
-        s_root = rv.solve_subordination(circ, lam, t)
+        s_root = oracles.solve_subordination(circ, lam, t)
         if not s_root > t:
             return _record(False, t - s_root, 0.0, f"root s = {s_root} not above t = {t}")
-        worst_res = max(worst_res, abs(rv.h_equation_residual(circ, lam, t, s_root)))
-        h_l = rv.h_function(circ.aa_star_measure, s_root)
-        cardano = -t * ci.cauchy_transform(complex(-t * t, 0.0), lam).real
+        worst_res = max(worst_res, abs(oracles.h_equation_residual(circ, lam, t, s_root)))
+        h_l = oracles.h_function(circ.aa_star_measure, s_root)
+        cardano = -t * oracles.cauchy_transform(complex(-t * t, 0.0), lam).real
         worst_match = max(worst_match, abs(h_l - cardano))
     passed = worst_res < 1e-10 and worst_match < 1e-6
     return _record(passed, max(worst_res, worst_match), 1e-6,
@@ -707,14 +707,14 @@ def _check_negative_root():
     worst = 0.0
     lam = 1.4
     for s in (6.0, 9.0, 14.0, 25.0):
-        h = rv.h_function(circ.aa_star_measure, s)
+        h = oracles.h_function(circ.aa_star_measure, s)
         disc = 1.0 - 4.0 * lam * lam * h * h
         if disc < 0:
             return _record(False, disc, 0.0, f"negative discriminant at s={s}")
         t = s - (1.0 + math.sqrt(disc)) / (2.0 * h)
         if t <= 0:
             return _record(False, t, 0.0, f"negative-root t not positive at s={s}")
-        worst = max(worst, abs(rv.h_lambda(circ, lam, t) - h))
+        worst = max(worst, abs(oracles.h_lambda(circ, lam, t) - h))
     return _record(worst < 1e-8, worst, 1e-8, "negative-root relation h_lam(t(s)) = h(s)")
 
 
@@ -722,7 +722,7 @@ def _check_negative_root():
 def _check_h_large_s():
     circ = models.circular_model()
     s = 1e3
-    h = rv.h_function(circ.aa_star_measure, s)
+    h = oracles.h_function(circ.aa_star_measure, s)
     law = 1.0 / s - 1.0 / s**3  # next correction is ||a||_4^4 / s^5
     rel = abs(h - law) / h
     return _record(rel < 1e-6, rel, 1e-6, "h(s) = 1/s - ||a||_2^2/s^3 + O(s^-5) at s = 1e3")
@@ -733,7 +733,7 @@ def _check_h_small_t():
     circ = models.circular_model()
     lam = 2.0
     t = 1e-3
-    got = rv.h_lambda(circ, lam, t) / t
+    got = oracles.h_lambda(circ, lam, t) / t
     target = 1.0 / (lam * lam - 1.0)
     rel = abs(got - target) / target
     return _record(rel < 1e-4, rel, 1e-4, "h_lam(t)/t -> m_{-2} as t -> 0")

@@ -21,6 +21,7 @@ from freeprob import circular as ci
 from freeprob import cumulants as cu
 from freeprob import models
 from freeprob import noncrossing as nc
+from freeprob import oracles
 from freeprob import psd
 from freeprob import series as se
 
@@ -180,7 +181,7 @@ class TestMomentsCommand:
                  (str(path), Fraction(7, 5), 5, alpha)]
         expected = []
         for _, lam, k, kappas in cases:
-            g = se.lagrange_invert(se.rescaled_inverse_cauchy(kappas, lam**2, 2 * k + 1))
+            g = oracles.lagrange_invert(oracles.rescaled_inverse_cauchy(kappas, lam**2, 2 * k + 1))
             m = lam**2 - 1
             expected.append([format(float(g.coefficient(2 * j + 1) / m ** (3 * j + 1)), ".17g")
                              for j in range(k + 1)])
@@ -188,9 +189,9 @@ class TestMomentsCommand:
         def refuse(*_args, **_kwargs):
             raise AssertionError("Lagrange inversion on the hot path")
 
-        monkeypatch.setattr(se, "lagrange_invert", refuse)
-        monkeypatch.setattr(se, "rescaled_inverse_cauchy", refuse)
-        monkeypatch.setattr(se.FormalSeries, "reciprocal", refuse)
+        monkeypatch.setattr(oracles, "lagrange_invert", refuse)
+        monkeypatch.setattr(oracles, "rescaled_inverse_cauchy", refuse)
+        monkeypatch.setattr(oracles.FormalSeries, "reciprocal", refuse)
         for (model, lam, k, _), want in zip(cases, expected):
             code, out, _ = run_cli(
                 capsys, "moments", "--model", model, "--route", "lagrange",
@@ -303,6 +304,20 @@ class TestMomentsCommand:
                                "--route", "quadrature", "--points", "79")
         assert code == 2 and "needs --points >= 80" in err
 
+    def test_quadrature_bound_grows_with_k(self, capsys):
+        # at k = 40 the 80 points that serve k <= 6 at lam = 3/2 are 4.5e-2 off
+        assert ci.quadrature_points_needed(1.5, 40) == 156
+        code, out, err = run_cli(capsys, "moments", "--lambda", "3/2", "--k", "40",
+                                 "--route", "quadrature", "--points", "80")
+        assert code == 2 and out == ""
+        assert "needs --points >= 156 for k = 40" in err
+        code, out, _ = run_cli(capsys, "moments", "--lambda", "3/2", "--k", "40",
+                               "--route", "quadrature", "--points", "156")
+        assert code == 0
+        exact = se.negative_moments_lagrange(models.circular_model(), 40, lam=Fraction(3, 2))
+        quad = [float(row.split("\t")[2]) for row in out.strip().splitlines()[1:]]
+        assert quad == pytest.approx([float(x) for x in exact], rel=1.1e-7)
+
     def test_quadrature_zero_points_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "moments", "--lambda", "2", "--route", "quadrature", "--points", "0",
@@ -310,6 +325,37 @@ class TestMomentsCommand:
         assert code == 2
         assert "points" in err
         assert out == ""
+
+
+class TestFloatRange:
+    """A floating-point route refuses a lambda that floats cannot resolve
+    (exit 2, naming lambda and the route) instead of crashing or printing a
+    nan or an inf; the exact routes carry on past the float range."""
+
+    @pytest.mark.parametrize("argv, lam, route", [
+        (["norm", "--lambda-start", "1e153", "--lambda-end", "1e160", "--steps", "2"], "1e+160", "norm"),
+        (["norm", "--lambda-start", "1.1", "--lambda-end", "1e400", "--steps", "3"], "1e400", "norm"),
+        (["density", "--lambda", "1e60", "--points", "8"], "1e60", "density"),
+        (["density", "--lambda", "1e20", "--points", "8"], "1e20", "density"),
+        (["norm", "--lambda-start", "1.00000000000000001", "--lambda-end", "2", "--steps", "3"],
+         "1.00000000000000001", "norm"),
+    ], ids=["norm-nan", "norm-overflow", "density-overflow", "density-support-unresolved",
+            "norm-rounds-to-one"])
+    def test_refused_naming_lambda_and_route(self, capsys, argv, lam, route):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"floating-point {route} route cannot resolve lambda = {lam}" in err
+
+    def test_exact_routes_keep_working(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", "--lambda", "1e400", "--k", "2", "--route", "lagrange")
+        assert code == 0
+        assert out.splitlines()[1].split("\t")[2] == "1e-800"
+        # --route all leaves the quadrature column out and says why
+        code, out, err = run_cli(capsys, "moments", "--lambda", "1e400", "--k", "2")
+        assert code == 0
+        assert out.splitlines()[0].split("\t") == ["k", "m_{-2k-2}", "lagrange", "psd", "asymptotic"]
+        assert "quadrature column omitted: the floating-point quadrature route cannot resolve " \
+               "lambda = 1e400" in err
 
 
 class TestNormCommand:
@@ -504,18 +550,27 @@ class TestParser:
             ["moments", "--lambda", "3/2", "--k", "4", "--route", "quadrature", "--points", "80"],
             ["norm", "--lambda-start", "1.01", "--lambda-end", "3", "--steps", "5"],
             ["norm", "--model", str(path), "--lambda-start", "1.05", "--lambda-end", "1.2", "--steps", "3"],
+            ["norm", "--model", "two-atom", "--lambda-start", "1.05", "--lambda-end", "1.2", "--steps", "3"],
+            ["moments", "--lambda", "7/5", "--k", "5", "--route", "all", "--points", "80"],
+            ["moments", "--model", str(path), "--lambda", "7/5", "--k", "5", "--route", "all"],
             ["count", "--what", "nc", "--n", "9"],
             ["count", "--what", "tilings", "--k", "4"],
             ["count", "--what", "psd", "--k", "2"],
+            ["count", "--what", "psd", "--k", "3", "--profile", "10,0,0,0"],
         ]
         # no request needs numpy, dataclasses (and the inspect it brings), the
-        # symbolic ring or the verify registry; json loads only for a model file
-        unneeded = ("numpy", "dataclasses", "inspect", "freeprob.ring", "freeprob.verify")
+        # symbolic ring, the verify registry or the module of any oracle it
+        # holds the package against; json loads only for a model file
+        from freeprob import verify
+
+        oracle_modules = sorted({getattr(owner, name).__module__ for owner, name in verify.ORACLES})
+        unneeded = ("numpy", "dataclasses", "inspect", "freeprob.ring", "freeprob.verify",
+                    "freeprob.oracles", *oracle_modules)
         probe = (
             "import contextlib, io, sys\n"
             "import freeprob.cli\n"
             "json_at_import = 'json' in sys.modules\n"
-            "records = []\n"
+            f"records = [[None, [name for name in {unneeded!r} if name in sys.modules]]]\n"
             f"for argv in {runs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = freeprob.cli.main(argv)\n"
@@ -528,7 +583,7 @@ class TestParser:
                               env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
         json_at_import, records, poly = json.loads(done.stdout)
         assert not json_at_import
-        assert records == [[0, []]] * len(runs)
+        assert records == [[None, []]] + [[0, []]] * len(runs)  # right after the import, then per run
         assert poly == "Poly"  # freeprob.ring still resolves as an attribute of the package
 
     def test_oracles_stay_off_every_request(self, tmp_path):

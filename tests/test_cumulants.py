@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from freeprob import cumulants as cu
 from freeprob import noncrossing as nc
+from freeprob import oracles
 from freeprob.ring import Poly
 
 LAM = Poly.var("lam")
@@ -48,88 +49,88 @@ class TestScalarConversions:
 
 class TestMomentFromCumulants:
     def test_semicircular_fourth_moment(self):
-        cf = cu.CumulantFunctional.from_univariate("s", [0, 1, 0, 0])
-        assert cu.moment_from_cumulants(cf, ["s"] * 4) == 2
+        cf = oracles.CumulantFunctional.from_univariate("s", [0, 1, 0, 0])
+        assert oracles.moment_from_cumulants(cf, ["s"] * 4) == 2
 
     def test_word_length_one(self):
-        cf = cu.CumulantFunctional.from_univariate("x", [Fraction(7, 2), 1])
-        assert cu.moment_from_cumulants(cf, ["x"]) == Fraction(7, 2)
+        cf = oracles.CumulantFunctional.from_univariate("x", [Fraction(7, 2), 1])
+        assert oracles.moment_from_cumulants(cf, ["x"]) == Fraction(7, 2)
 
     def test_circular_alternating_word(self):
-        cf = cu.CumulantFunctional.circular()
-        assert cu.moment_from_cumulants(cf, ["c", "c*", "c", "c*"]) == 2
-        assert cu.moment_from_cumulants(cf, ["c", "c*", "c", "c*", "c", "c*"]) == 5
+        cf = oracles.CumulantFunctional.circular()
+        assert oracles.moment_from_cumulants(cf, ["c", "c*", "c", "c*"]) == 2
+        assert oracles.moment_from_cumulants(cf, ["c", "c*", "c", "c*", "c", "c*"]) == 5
 
     def test_nested_word_and_unbalanced_word(self):
-        cf = cu.CumulantFunctional.circular()
+        cf = oracles.CumulantFunctional.circular()
         # c c c* c*: only the fully nested pairing contributes
-        assert cu.moment_from_cumulants(cf, ["c", "c", "c*", "c*"]) == 1
-        assert cu.moment_from_cumulants(cf, ["c", "c", "c", "c*"]) == 0
+        assert oracles.moment_from_cumulants(cf, ["c", "c", "c*", "c*"]) == 1
+        assert oracles.moment_from_cumulants(cf, ["c", "c", "c", "c*"]) == 0
 
     def test_resource_error(self):
-        cf = cu.CumulantFunctional.circular()
+        cf = oracles.CumulantFunctional.circular()
         with pytest.raises(nc.EnumerationBoundError):
-            cu.moment_from_cumulants(cf, ["c", "c*"] * (nc.ENUMERATION_BOUND // 2 + 1))
+            oracles.moment_from_cumulants(cf, ["c", "c*"] * (oracles.ENUMERATION_BOUND // 2 + 1))
 
     def test_order_cap(self):
-        cf = cu.CumulantFunctional.from_univariate("x", [1, 1], max_order=2)
+        cf = oracles.CumulantFunctional.from_univariate("x", [1, 1], max_order=2)
         with pytest.raises(cu.OrderCapError):
             cf.block_cumulant(["x"] * 3)
 
 
 class TestProductCumulant:
     def test_alternating_product_powers(self):
-        cf = cu.CumulantFunctional.circular()
+        cf = oracles.CumulantFunctional.circular()
         for n in range(1, 6):
-            groups = nc.IntervalPartition.of((2,) * n)
-            assert cu.product_cumulant(groups, cf, ["c", "c*"] * n) == 1
+            groups = oracles.IntervalPartition.of((2,) * n)
+            assert oracles.product_cumulant(groups, cf, ["c", "c*"] * n) == 1
 
     def test_singleton_grouping_is_identity(self):
-        cf = cu.CumulantFunctional.from_univariate("x", [1, Fraction(1, 2), 2, 0])
+        cf = oracles.CumulantFunctional.from_univariate("x", [1, Fraction(1, 2), 2, 0])
         for n in range(1, 5):
             word = ["x"] * n
             direct = cf.block_cumulant(word)
             # singleton grouping: only partitions joining the singletons to 1
             if n == 1:
-                grouped = cu.product_cumulant(nc.IntervalPartition.of((1,)), cf, word)
+                grouped = oracles.product_cumulant(oracles.IntervalPartition.of((1,)), cf, word)
                 assert grouped == direct
 
     def test_mixed_pair_values(self):
-        cf = cu.CumulantFunctional.circular()
-        a1 = cu.LinComb.of({"c": -LAM, "c*": -LAM})
+        cf = oracles.CumulantFunctional.circular()
+        a1 = oracles.LinComb.of({"c": -LAM, "c*": -LAM})
         assert cf.block_cumulant(["c*", a1]) == -LAM
         assert cf.block_cumulant([a1, "c"]) == -LAM
 
     def test_size_mismatch(self):
-        cf = cu.CumulantFunctional.circular()
+        cf = oracles.CumulantFunctional.circular()
         with pytest.raises(ValueError):
-            cu.product_cumulant(nc.IntervalPartition.of((2, 2)), cf, ["c", "c*"])
+            oracles.product_cumulant(oracles.IntervalPartition.of((2, 2)), cf, ["c", "c*"])
 
 
 class TestRdiagMoment:
     def test_alpha1(self, circular_model):
-        assert cu.rdiag_moment(circular_model, nc.AlternationPattern.of((1, 1))) == 1
+        assert oracles.rdiag_moment(circular_model, oracles.AlternationPattern.of((1, 1))) == 1
 
     def test_circular_cubed(self, circular_model):
-        pat = nc.AlternationPattern.of((1, 1) * 3)
-        assert cu.rdiag_moment(circular_model, pat) == 5
+        pat = oracles.AlternationPattern.of((1, 1) * 3)
+        assert oracles.rdiag_moment(circular_model, pat) == 5
 
     def test_haar_powers(self, haar_model):
         for n in range(1, 5):
-            pat = nc.AlternationPattern.of((1, 1) * n)
-            assert cu.rdiag_moment(haar_model, pat) == 1
+            pat = oracles.AlternationPattern.of((1, 1) * n)
+            assert oracles.rdiag_moment(haar_model, pat) == 1
 
     def test_unbalanced_is_zero(self, circular_model):
-        assert cu.rdiag_moment(circular_model, nc.AlternationPattern.of((2, 1))) == 0
+        assert oracles.rdiag_moment(circular_model, oracles.AlternationPattern.of((2, 1))) == 0
 
     def test_empty_pattern_is_one(self, circular_model):
-        assert cu.rdiag_moment(circular_model, nc.AlternationPattern.of((0, 0))) == 1
+        assert oracles.rdiag_moment(circular_model, oracles.AlternationPattern.of((0, 0))) == 1
 
     def test_order_cap(self):
         # (a* a)^3 admits the full alternating 6-block, which needs alpha_3
         model = cu.OperatorModel(name="tiny", alpha=(Fraction(1), Fraction(1)))
         with pytest.raises(cu.OrderCapError):
-            cu.rdiag_moment(model, nc.AlternationPattern.of((1, 1, 1, 1, 1, 1)))
+            oracles.rdiag_moment(model, oracles.AlternationPattern.of((1, 1, 1, 1, 1, 1)))
 
 class TestCircularShiftCumulants:
     def test_first_cumulant(self, registry_record):
@@ -143,7 +144,7 @@ class TestCircularShiftCumulants:
         registry_record("circular-shift-cumulants")
 
     def test_only_even_lambda_powers(self):
-        for k in cu.circular_shift_cumulants(4):
+        for k in oracles.circular_shift_cumulants(4):
             assert all(d.get("lam", 0) % 2 == 0 for d in map(dict, k.terms))
 
 class TestOperatorModel:
@@ -213,7 +214,7 @@ class TestOperatorModel:
         model = cu.OperatorModel(name="random", alpha=tuple(alphas))
         moments = model.aa_star_moments()
         assert moments == [
-            cu.rdiag_moment(model, nc.AlternationPattern.of((1, 1) * n))
+            oracles.rdiag_moment(model, oracles.AlternationPattern.of((1, 1) * n))
             for n in range(1, len(alphas) + 1)
         ]
         assert cu.alpha_from_aa_star_moments(moments) == alphas

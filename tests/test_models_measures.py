@@ -10,6 +10,7 @@ from freeprob import cumulants as cu
 from freeprob import measures as me
 from freeprob import models
 from freeprob import noncrossing as nc
+from freeprob import oracles
 
 
 class TestSpectralMeasure:
@@ -103,8 +104,8 @@ class TestBuiltinModels:
         def refuse(*args, **kwargs):
             raise AssertionError("alternating-partition enumeration on a build path")
 
-        monkeypatch.setattr(nc, "enumerate_alternating", refuse)
-        monkeypatch.setattr(cu, "rdiag_moment", refuse)
+        monkeypatch.setattr(oracles, "enumerate_alternating", refuse)
+        monkeypatch.setattr(oracles, "rdiag_moment", refuse)
         haar_alpha = (1, -1, 2, -5, 14, -42, 132, -429)
         two_atom_alpha = (1, 0, -1, 2, -1, -6, 20, -22)
         haar, two_atom = models.haar_model(), models.two_atom_model()

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from freeprob import noncrossing as nc
+from freeprob import oracles
 from freeprob import psd
 from freeprob import series as se
 from freeprob.ring import Poly
@@ -16,67 +17,67 @@ X, Y = Poly.var("x"), Poly.var("y")
 
 class TestPolygons:
     def test_alternating_polygons_on_square(self):
-        polys = psd.polygons_on(4)
+        polys = oracles.polygons_on(4)
         assert set(polys) == {(0, 1), (0, 3), (1, 2), (2, 3), (0, 1, 2, 3)}
 
     def test_non_alternating_rejected(self):
         with pytest.raises(ValueError):
-            psd.PolygonDiagram.of(1, [(0, 2)])
+            oracles.PolygonDiagram.of(1, [(0, 2)])
 
     def test_crossing_chords_rejected(self):
         with pytest.raises(ValueError):
-            psd.PolygonDiagram.of(2, [(0, 3), (2, 5)])
+            oracles.PolygonDiagram.of(2, [(0, 3), (2, 5)])
 
     def test_chord_through_polygon_rejected(self):
         with pytest.raises(ValueError):
-            psd.PolygonDiagram.of(2, [(0, 1, 2, 3, 4, 5), (0, 3)])
+            oracles.PolygonDiagram.of(2, [(0, 1, 2, 3, 4, 5), (0, 3)])
 
     def test_duplicate_polygons_rejected(self):
         with pytest.raises(ValueError):
-            psd.PolygonDiagram.of(1, [(0, 1), (0, 1)])
+            oracles.PolygonDiagram.of(1, [(0, 1), (0, 1)])
 
     def test_shared_edge_allowed(self):
-        d = psd.PolygonDiagram.of(2, [(0, 1, 2, 3), (0, 3, 4, 5), (0, 3)])
+        d = oracles.PolygonDiagram.of(2, [(0, 1, 2, 3), (0, 3, 4, 5), (0, 3)])
         assert len(d.polygons) == 3
 
     def test_labels_validated(self):
-        d = psd.PolygonDiagram.of(1, [(0, 1), (0, 1, 2, 3)])
-        psd.LabeledDiagram.of(d, (5, 1))
+        d = oracles.PolygonDiagram.of(1, [(0, 1), (0, 1, 2, 3)])
+        oracles.LabeledDiagram.of(d, (5, 1))
         with pytest.raises(ValueError):
-            psd.LabeledDiagram.of(d, (5, 2))  # non-degenerate label must be 1
+            oracles.LabeledDiagram.of(d, (5, 2))  # non-degenerate label must be 1
         with pytest.raises(ValueError):
-            psd.LabeledDiagram.of(d, (0, 1))  # labels are positive
+            oracles.LabeledDiagram.of(d, (0, 1))  # labels are positive
 
 
 class TestEnumeration:
     def test_k0(self):
-        diagrams = list(psd.enumerate_psd(0))
+        diagrams = list(oracles.enumerate_psd(0))
         assert len(diagrams) == 2
         assert {d.polygons for d in diagrams} == {(), ((0, 1),)}
 
     def test_every_diagram_valid(self):
         for k in (1, 2):
-            for d in psd.enumerate_psd(k):
-                rebuilt = psd.PolygonDiagram.of(k, d.polygons)  # re-validates
+            for d in oracles.enumerate_psd(k):
+                rebuilt = oracles.PolygonDiagram.of(k, d.polygons)  # re-validates
                 assert rebuilt == d
 
     def test_counts_match_subset_filter_oracle(self):
         # brute force over all polygon subsets for small k
         for k in (0, 1, 2):
-            polys = psd.polygons_on(2 * (k + 1))
+            polys = oracles.polygons_on(2 * (k + 1))
             count = 0
             for r in range(len(polys) + 1):
                 for subset in itertools.combinations(polys, r):
                     if all(
-                        psd.compatible(p, q) for p, q in itertools.combinations(subset, 2)
+                        oracles.compatible(p, q) for p, q in itertools.combinations(subset, 2)
                     ):
                         count += 1
-            assert count == sum(1 for _ in psd.enumerate_psd(k))
+            assert count == sum(1 for _ in oracles.enumerate_psd(k))
             assert count == sum(psd.profile_table(k).values())
 
     def test_bound_error(self):
         with pytest.raises(psd.DiagramBoundError):
-            list(psd.enumerate_psd(9))
+            list(oracles.enumerate_psd(9))
 
 
 class TestProfileCounts:
@@ -122,7 +123,7 @@ class TestQuadrangulations:
         registry_record("psd-quadrangulation-counts")
 
     def test_hexagon_tilings_explicit(self):
-        tilings = psd.quadrangulations(2)
+        tilings = oracles.quadrangulations(2)
         # one internal chord each: (0,3), (1,4), or (2,5)
         internals = set()
         boundary = {tuple(sorted((i, (i + 1) % 6))) for i in range(6)}
@@ -135,43 +136,43 @@ class TestQuadrangulations:
 
 class TestCompression:
     def test_single_pair(self):
-        pat = nc.AlternationPattern.of((1, 1))
-        lp = psd.compress(pat, nc.SetPartition.of(2, [[1, 2]]))
+        pat = oracles.AlternationPattern.of((1, 1))
+        lp = oracles.compress(pat, oracles.SetPartition.of(2, [[1, 2]]))
         assert lp.diagram.polygons == ((0, 1),)
         assert lp.labels == (1,)
 
     def test_nested_pairs_merge_with_label(self):
-        pat = nc.AlternationPattern.of((3, 3))
-        part = nc.SetPartition.of(6, [[1, 6], [2, 5], [3, 4]])
-        lp = psd.compress(pat, part)
+        pat = oracles.AlternationPattern.of((3, 3))
+        part = oracles.SetPartition.of(6, [[1, 6], [2, 5], [3, 4]])
+        lp = oracles.compress(pat, part)
         assert lp.diagram.polygons == ((0, 1),)
         assert lp.labels == (3,)
 
     def test_rejects_crossing(self):
-        pat = nc.AlternationPattern.of((2, 2, 2, 2))
-        crossing = nc.SetPartition.of(
+        pat = oracles.AlternationPattern.of((2, 2, 2, 2))
+        crossing = oracles.SetPartition.of(
             8, [[1, 4], [2, 7], [3, 6], [5, 8]]
         )
         with pytest.raises(ValueError):
-            psd.compress(pat, crossing)
+            oracles.compress(pat, crossing)
 
     def test_rejects_non_alternating(self):
-        pat = nc.AlternationPattern.of((2, 2))
-        bad = nc.SetPartition.of(4, [[1, 2], [3, 4]])  # pairs a* with a*
+        pat = oracles.AlternationPattern.of((2, 2))
+        bad = oracles.SetPartition.of(4, [[1, 2], [3, 4]])  # pairs a* with a*
         with pytest.raises(ValueError):
-            psd.compress(pat, bad)
+            oracles.compress(pat, bad)
 
     def test_decompress_single_2gon(self):
-        d = psd.PolygonDiagram.of(0, [(0, 1)])
-        lp = psd.LabeledDiagram.of(d, (1,))
-        pat, part = psd.decompress(lp)
+        d = oracles.PolygonDiagram.of(0, [(0, 1)])
+        lp = oracles.LabeledDiagram.of(d, (1,))
+        pat, part = oracles.decompress(lp)
         assert pat.runs == (1, 1)
         assert part.blocks == ((1, 2),)
 
     def test_decompress_label_nests(self):
-        d = psd.PolygonDiagram.of(0, [(0, 1)])
-        lp = psd.LabeledDiagram.of(d, (3,))
-        pat, part = psd.decompress(lp)
+        d = oracles.PolygonDiagram.of(0, [(0, 1)])
+        lp = oracles.LabeledDiagram.of(d, (3,))
+        pat, part = oracles.decompress(lp)
         assert pat.runs == (3, 3)
         assert part.blocks == ((1, 6), (2, 5), (3, 4))
 

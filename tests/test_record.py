@@ -9,20 +9,20 @@ from freeprob import circular as ci
 from freeprob import cumulants as cu
 from freeprob import measures as me
 from freeprob import noncrossing as nc
-from freeprob import psd
+from freeprob import oracles
 from freeprob import resolvent as rv
 
 # (class, field names, field values, values of a different record)
 FROZEN = [
     (ci.CircularSpectrum, ("lam", "m", "z_minus", "z_plus", "s_minus", "s_plus"),
      (1.5, 1.25, -1.0, 0.4, 0.05, 6.5), (1.5, 1.25, -1.0, 0.4, 0.05, 6.0)),
-    (cu.LinComb, ("parts",), ((("c", 1),),), ((("c", 2),),)),
-    (nc.SetPartition, ("n", "blocks"), (3, ((1, 2), (3,))), (3, ((1,), (2, 3)))),
-    (nc.IntervalPartition, ("sizes",), ((1, 2),), ((2, 1),)),
-    (nc.AlternationPattern, ("runs",), ((1, 1),), ((2, 2),)),
-    (psd.PolygonDiagram, ("k", "polygons"), (1, ((0, 1),)), (1, ((0, 3),))),
-    (psd.LabeledDiagram, ("diagram", "labels"), (psd.PolygonDiagram(1, ((0, 1),)), (2,)),
-     (psd.PolygonDiagram(1, ((0, 1),)), (3,))),
+    (oracles.LinComb, ("parts",), ((("c", 1),),), ((("c", 2),),)),
+    (oracles.SetPartition, ("n", "blocks"), (3, ((1, 2), (3,))), (3, ((1,), (2, 3)))),
+    (oracles.IntervalPartition, ("sizes",), ((1, 2),), ((2, 1),)),
+    (oracles.AlternationPattern, ("runs",), ((1, 1),), ((2, 2),)),
+    (oracles.PolygonDiagram, ("k", "polygons"), (1, ((0, 1),)), (1, ((0, 3),))),
+    (oracles.LabeledDiagram, ("diagram", "labels"), (oracles.PolygonDiagram(1, ((0, 1),)), (2,)),
+     (oracles.PolygonDiagram(1, ((0, 1),)), (3,))),
     (rv.NormResult, ("lam", "norm", "m_lambda", "asymptotic", "ratio", "route", "x_critical"),
      (1.5, 2.0, 0.5, 1.9, 1.05, "series-exact", 0.6),
      (1.5, 2.0, 0.5, 1.9, 1.05, "series-truncated", 0.6)),
@@ -57,8 +57,8 @@ def test_frozen_records_refuse_assignment(cls, fields, values, other):
 
 
 def test_canonical_partitions_are_set_members():
-    assert nc.SetPartition.of(3, [(3,), (2, 1)]) in {nc.SetPartition(3, ((1, 2), (3,)))}
-    assert len(set(nc.enumerate_nc(6))) == nc.catalan(6)
+    assert oracles.SetPartition.of(3, [(3,), (2, 1)]) in {oracles.SetPartition(3, ((1, 2), (3,)))}
+    assert len(set(oracles.enumerate_nc(6))) == nc.catalan(6)
 
 
 def test_spectral_measure_defaults_and_repr():
