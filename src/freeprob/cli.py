@@ -147,12 +147,12 @@ def cmd_moments(args) -> int:
     if k < 0:
         raise CliError(f"--k must be >= 0, got {k}")
     if args.route == "all":
-        routes = ("lagrange", "psd") + (("quadrature",) if model.r_mu_closed_form else ())
+        routes = ("lagrange", "psd") + (("quadrature",) if model.r_mu_is_z else ())
     else:
         routes = (args.route,)
     if "psd" in routes and k > psd.PROFILE_K_BOUND:
         raise CliError(f"psd route bound is k <= {psd.PROFILE_K_BOUND}")
-    if "quadrature" in routes and not model.r_mu_closed_form:
+    if "quadrature" in routes and not model.r_mu_is_z:
         raise CliError("quadrature route needs the circular closed-form density")
     if "quadrature" in routes:
         try:

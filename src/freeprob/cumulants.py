@@ -16,7 +16,7 @@ import itertools
 import math
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _oracle_forwarder
 from ._record import Record
@@ -62,16 +62,23 @@ def free_moments_from_cumulants(kappas: Sequence) -> list:
     return m[1:]
 
 
-def cumulants_from_moments(moments: Sequence) -> list:
-    """Free cumulants kappa_1..kappa_K from moments m_1..m_K: the same
-    identity solved for its s = n term, kappa_n.
+def cumulant_stream(moments: Iterable) -> Iterator:
+    """Free cumulants kappa_1, kappa_2, ... from moments m_1, m_2, ...: the
+    same identity solved for its s = n term, kappa_n.  kappa_n reads
+    m_1 .. m_n only, so an endless moment stream gives an endless one."""
+    m, kappas = [1], []  # m_0 = 1
+    for moment, row in zip(moments, _first_block_rows(m)):
+        m.append(moment)
+        kappas.append(moment - sum(k * c for k, c in zip(kappas, row) if k != 0))
+        yield kappas[-1]
+
+
+def cumulants_from_moments(moments: Iterable) -> list:
+    """Free cumulants kappa_1..kappa_K from moments m_1..m_K (cumulant_stream).
 
     Round-trips exactly with free_moments_from_cumulants.
     """
-    kappas: list = []
-    for moment, row in zip(moments, _first_block_rows([1] + list(moments))):
-        kappas.append(moment - sum(k * c for k, c in zip(kappas, row) if k != 0))
-    return kappas
+    return list(cumulant_stream(moments))
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +90,10 @@ class OperatorModel(Record):
     """An R-diagonal operator described by its determining cumulants.
 
     alpha[l-1] holds the order-2l alternating cumulant alpha_l of the
-    operator; the normalization fixes alpha_1 = 1.  ``alpha_at`` reads alpha
-    past the stored order.  Optionally carries a spectral measure for a a*.
+    operator; the normalization fixes alpha_1 = 1.  ``alpha_at`` is the one
+    reader of alpha_n for every n: the stored tuple here, one source per
+    builtin (``freeprob.models``).  Optionally carries a spectral measure
+    for a a*.
 
     alpha is also the even free-cumulant sequence of mu, the symmetrization
     of |a|: kappa_{2n}(mu) = alpha_n (Nica-Speicher, Lecture 15;
@@ -99,14 +108,15 @@ class OperatorModel(Record):
     is stored.
     """
 
-    _fields = ("name", "alpha", "aa_star_measure", "r_mu_closed_form")
+    _fields = ("name", "alpha", "aa_star_measure")
+    aa_star_measure = None
+    r_mu_is_z = False  # R_mu(z) = z exactly: set by the circular builtin's class alone
 
-    def __init__(self, name: str, alpha: tuple[Fraction, ...], aa_star_measure: object | None = None,
-                 r_mu_closed_form: bool = False):
+    def __init__(self, name: str, alpha: tuple[Fraction, ...], aa_star_measure: object | None = None):
         self.name = name
         self.alpha = tuple(Fraction(a) for a in alpha)
-        self.aa_star_measure = aa_star_measure
-        self.r_mu_closed_form = r_mu_closed_form  # alpha is zero past its stored order
+        if aa_star_measure is not None:  # a subclass may give its measure as a property
+            self.aa_star_measure = aa_star_measure
         if not self.alpha or self.alpha[0] != 1:
             raise ValueError("normalization requires alpha_1 = 1")
 
@@ -129,12 +139,10 @@ class OperatorModel(Record):
         return tuple(floats)
 
     def alpha_at(self, n: int) -> Fraction:
-        """alpha_n: the stored value; 0 past the stored order when
-        ``r_mu_closed_form`` is set; OrderCapError otherwise."""
+        """alpha_n: the stored value, OrderCapError past it.  The builtins
+        override this with a source that gives alpha_n for every n."""
         if 1 <= n <= len(self.alpha):
             return self.alpha[n - 1]
-        if n > len(self.alpha) and self.r_mu_closed_form:
-            return Fraction(0)
         raise OrderCapError(f"alpha_{n} not supplied (order {len(self.alpha)})")
 
     def _graded_aa_star_moments(self) -> tuple[list[int], int]:
@@ -188,5 +196,5 @@ class OperatorModel(Record):
 def alpha_from_aa_star_moments(moments: Sequence[Fraction]) -> list[Fraction]:
     """Determining cumulants from phi((a a*)^n): the free cumulants of the
     free cumulants of a a*.  Inverts OperatorModel.aa_star_moments exactly."""
-    return cumulants_from_moments(cumulants_from_moments([Fraction(m) for m in moments]))
+    return cumulants_from_moments(cumulant_stream(map(Fraction, moments)))
 

@@ -1,69 +1,86 @@
 """Built-in operator models and JSON ingestion.
 
-Three stock models exercise the distinct regimes:
+Three stock models exercise the distinct regimes; each gives alpha_n for
+every n, read through ``alpha_at``:
 
-* ``circular``  -- alpha = (1, 0, 0, ...), stored as (1,) with the zero tail
-  flagged; the modulus is semicircular so its R-transform is exactly z; a a*
-  is free Poisson.  v = 1.
+* ``circular``  -- alpha_n = [n = 1]: the modulus is semicircular, so its
+  R-transform is exactly z, a fact its class alone marks; a a* is free
+  Poisson.  v = 1.
 * ``haar``      -- a a* = delta_1, v = 0: the degenerate case the norm
   asymptotics exclude.
 * ``two-atom``  -- a a* = (delta_0 + delta_2)/2: same v = 1 as circular but
   different higher cumulants, separating the two in asymptotic tests.
+
+The two atomic builtins extend alpha on demand from their exact atoms.
+Models from JSON store a finite alpha and raise OrderCapError past it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from . import cumulants as cu
 from . import measures as me
 
-DEFAULT_MODEL_ORDER = 8
+STORED_ORDER = 8  # alpha_1..alpha_8 stored by an atomic builtin: the truncated float norm reads them
 
 BUILTIN_NAMES = ("circular", "haar", "two-atom")
 
 
 class _CircularModel(cu.OperatorModel):
-    """The circular builtin, whose a a* law is free Poisson.  The 4096-node
-    measure is built on the first read of ``aa_star_measure``: only the
-    subordination functions read it, and no ``moments`` or ``norm`` request
-    on this model does."""
+    """The circular builtin: alpha_n = [n = 1] for every n.  The 4096-node
+    free Poisson measure of a a* is built on the first read of
+    ``aa_star_measure``: only the subordination functions read it, and no
+    ``moments`` or ``norm`` request on this model does."""
+
+    r_mu_is_z = True
+
+    def alpha_at(self, n: int) -> Fraction:
+        return Fraction(n == 1)
 
     @property
     def aa_star_measure(self):
         return me.free_poisson()
 
-    @aa_star_measure.setter
-    def aa_star_measure(self, value):
-        if value is not None:
-            raise AttributeError("the circular model's a a* measure is free Poisson")
+
+class _AtomicModel(cu.OperatorModel):
+    """A builtin whose a a* law has the given exact (x, weight) atoms.
+
+    ``alpha_at`` reads alpha_n from an endless stream and keeps it.  Both
+    cumulant passes run on the graded integers
+    phi((a a*)^n) d^n = sum_i (w_i x_i d) (x_i d)^(n-1), with d the lcm of
+    the products of each atom's x and w denominators: each pass is
+    homogeneous of weight n (OperatorModel._graded_aa_star_moments), so the
+    stream yields alpha_n d^n, reduced once.
+    """
+
+    def __init__(self, name: str, atoms):
+        d = math.lcm(*(x.denominator * w.denominator for x, w in atoms))
+        graded = [(int(x * d), int(w * x * d)) for x, w in atoms]
+        moments = (sum(b * c ** (n - 1) for c, b in graded) for n in itertools.count(1))
+        self._stream, self._d, self._known = cu.cumulant_stream(cu.cumulant_stream(moments)), d, []
+        super().__init__(name, [self.alpha_at(n) for n in range(1, STORED_ORDER + 1)],
+                         me.SpectralMeasure.from_atoms([(float(x), float(w)) for x, w in atoms]))
+
+    def alpha_at(self, n: int) -> Fraction:
+        while len(self._known) < n:
+            self._known.append(Fraction(next(self._stream), self._d ** (len(self._known) + 1)))
+        return self._known[n - 1] if n >= 1 else super().alpha_at(n)
 
 
 def circular_model() -> cu.OperatorModel:
-    return _CircularModel(
-        name="circular",
-        alpha=(Fraction(1),),  # semicircular modulus: alpha_n = 0 for n >= 2
-        r_mu_closed_form=True,
-    )
+    return _CircularModel("circular", (1,))
 
 
-def _atomic_model(name: str, atoms, order: int) -> cu.OperatorModel:
-    """Model whose a a* law has the given exact (x, weight) atoms."""
-    aa_moments = [sum(w * x**n for x, w in atoms) for n in range(1, order + 1)]
-    return cu.OperatorModel(
-        name=name,
-        alpha=tuple(cu.alpha_from_aa_star_moments(aa_moments)),
-        aa_star_measure=me.SpectralMeasure.from_atoms([(float(x), float(w)) for x, w in atoms]),
-    )
+def haar_model() -> cu.OperatorModel:
+    return _AtomicModel("haar", [(Fraction(1), Fraction(1))])
 
 
-def haar_model(order: int = DEFAULT_MODEL_ORDER) -> cu.OperatorModel:
-    return _atomic_model("haar", [(Fraction(1), Fraction(1))], order)
-
-
-def two_atom_model(order: int = DEFAULT_MODEL_ORDER) -> cu.OperatorModel:
+def two_atom_model() -> cu.OperatorModel:
     half = Fraction(1, 2)
-    return _atomic_model("two-atom", [(Fraction(0), half), (Fraction(2), half)], order)
+    return _AtomicModel("two-atom", [(Fraction(0), half), (Fraction(2), half)])
 
 
 _BUILDERS = {"circular": circular_model, "haar": haar_model, "two-atom": two_atom_model}

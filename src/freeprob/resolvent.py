@@ -5,15 +5,16 @@ the smallest positive support point of the shifted symmetrized modulus is
 (lam^2-1)^{3/2} F(x*) where x* is the unique critical point of F in
 (0, 1/sqrt(v)), so the resolvent norm is the reciprocal.
 
-When R_mu(z) is exactly z (the circular model: alpha = (1,) with a zero
-tail), B'(z) = 0 is a quadratic in r = 2 z^2 and the critical value has a
+When R_mu(z) is exactly z (the circular model, whose alpha_n = [n = 1]),
+B'(z) = 0 is a quadratic in r = 2 z^2 and the critical value has a
 closed form in s = sqrt(8 lam^2 + 1): the norm is
 sqrt(s - 1) ((s + 3) / (4 (lam^2 - 1)))^{3/2}, which is inf_spec(lam)^{-1/2}
 without a cancelling step (see circular_norm_closed_form).  Every other model
-has a truncated R-series, whose critical point solves no fixed low-degree
-equation, so it is found by Newton's method on F' from circular's critical
-point, kept inside the sign-change bracket that F' guarantees: F, F' and F''
-are polynomials in x and u = sqrt(1 + 4 lam^2 (lam^2 - 1) x^2) with no
+reads R_mu truncated to its stored alpha (alpha_1..alpha_8 for the atomic
+builtins), whose critical point solves no fixed low-degree equation, so it
+is found by Newton's method on F' from circular's critical point, kept
+inside the sign-change bracket that F' guarantees: F, F' and F'' are
+polynomials in x and u = sqrt(1 + 4 lam^2 (lam^2 - 1) x^2) with no
 cancelling step.  The subordination functions h and h_lam, solved by the
 Illinois rule, are oracles in ``freeprob.oracles``.
 """
@@ -118,7 +119,7 @@ def find_critical_point(model, lam: float) -> float:
         raise RegimeError("v = 0: Haar-unitary regime has no norm blow-up law")
     if lam <= 1:
         raise ValueError("requires lam > 1")
-    if not model.r_mu_closed_form and lam - 1 < TRUNCATED_LAMBDA_GUARD:
+    if not model.r_mu_is_z and lam - 1 < TRUNCATED_LAMBDA_GUARD:
         raise RegimeError(
             f"lam - 1 = {lam - 1:g} under the truncation guard {TRUNCATED_LAMBDA_GUARD:g} "
             f"for a finitely-truncated model"
@@ -200,19 +201,19 @@ def series_norm(model, lam: float) -> tuple[float, float, float]:
 def resolvent_norm(model, lam: float) -> NormResult:
     """||(lam - a)^{-1}|| = 1 / ((lam^2-1)^{3/2} F(x*)).
 
-    When the model's R_mu(z) is exactly z (r_mu_closed_form set and alpha
-    reducing to (1,): the circular model) the critical value comes from
+    When the model's R_mu(z) is exactly z (``r_mu_is_z``: the circular
+    model's class) the critical value comes from
     circular_norm_closed_form, with no F' evaluation.  Every other model
     solves F' = 0 on its truncated series (series_norm), because a truncated
     R_mu has no closed-form critical point; those results carry the route tag
     'series-truncated'.
     """
-    if model.r_mu_closed_form and model.r_mu_floats == (1.0,):
+    if model.r_mu_is_z:
         norm, m_lambda, x_star = circular_norm_closed_form(lam)
     else:
         norm, m_lambda, x_star = series_norm(model, lam)
     asym = asymptotic_norm(float(model.v), lam)
-    route = "series-exact" if model.r_mu_closed_form else "series-truncated"
+    route = "series-exact" if model.r_mu_is_z else "series-truncated"
     return NormResult(
         lam=lam,
         norm=norm,

@@ -68,11 +68,11 @@ class TestBuiltinModels:
     def test_circular(self, circular_model, two_atom_model):
         assert circular_model.alpha[0] == 1
         assert all(a == 0 for a in circular_model.alpha[1:])
-        assert circular_model.r_mu_closed_form
+        assert circular_model.r_mu_is_z and not two_atom_model.r_mu_is_z
         assert circular_model.v == 1
         assert circular_model.alpha_at(12) == 0
-        with pytest.raises(cu.OrderCapError):
-            two_atom_model.alpha_at(9)
+        with pytest.raises(cu.OrderCapError):  # only a stored alpha stops
+            cu.OperatorModel("two-atom-prefix", two_atom_model.alpha).alpha_at(9)
 
     def test_circular_models_are_fresh(self):
         first, second = models.circular_model(), models.circular_model()
@@ -92,9 +92,9 @@ class TestBuiltinModels:
         assert models.circular_model().aa_star_measure is me.free_poisson()
 
     def test_haar_alphas_are_signed_catalans(self, haar_model):
-        for model in (haar_model, models.haar_model(40)):
-            want = [(-1) ** n * nc.catalan(n) for n in range(model.order)]
-            assert list(model.alpha) == want
+        want = [(-1) ** n * nc.catalan(n) for n in range(40)]
+        assert list(haar_model.alpha) == want[: haar_model.order]
+        assert [haar_model.alpha_at(n) for n in range(1, 41)] == want
 
     def test_two_atom_model(self, two_atom_model):
         assert two_atom_model.alpha[:5] == (1, 0, -1, 2, -1)
