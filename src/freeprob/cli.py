@@ -150,8 +150,8 @@ def cmd_moments(args) -> int:
         routes = ("lagrange", "psd") + (("quadrature",) if model.r_mu_is_z else ())
     else:
         routes = (args.route,)
-    if "psd" in routes and k > psd.PROFILE_K_BOUND:
-        raise CliError(f"psd route bound is k <= {psd.PROFILE_K_BOUND}")
+    if "psd" in routes and k > psd.PSD_MOMENTS_K_BOUND:
+        raise CliError(f"psd route bound is k <= {psd.PSD_MOMENTS_K_BOUND}")
     if "quadrature" in routes and not model.r_mu_is_z:
         raise CliError("quadrature route needs the circular closed-form density")
     if "quadrature" in routes:
@@ -244,7 +244,10 @@ def cmd_norm(args) -> int:
     lines = ["lambda,norm,asymptotic,ratio,route"]
     for i in range(steps):
         lam = start + (end - start) * i / (steps - 1)
-        res = rv.resolvent_norm(model, lam)
+        try:
+            res = rv.resolvent_norm(model, lam)
+        except ArithmeticError as exc:
+            raise _unresolved("norm", _fmt(lam), exc) from None
         if not math.isfinite(res.norm + res.asymptotic + res.ratio):
             raise _unresolved("norm", _fmt(lam), "a value is not finite")
         lines.append(

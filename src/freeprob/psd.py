@@ -36,6 +36,8 @@ if TYPE_CHECKING:
 __getattr__ = _oracle_forwarder(__name__, ("enumerate_psd",))
 
 PROFILE_K_BOUND = 11  # a cold profile_table(11) takes 1.0-1.3 s (2-CPU x86 host)
+# negative_moments_psd reads no profiles: 0.12-0.2 s at k = 40, 0.5-0.8 s at 60 (same host)
+PSD_MOMENTS_K_BOUND = 40
 # count_quadrangulations is a closed form; its bound keeps the printed number
 # under CPython's default 4300-digit int -> str limit (C^(2)_5100 has 4224)
 QUADRANGULATION_COUNT_K_BOUND = 5100

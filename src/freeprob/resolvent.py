@@ -103,7 +103,9 @@ def find_critical_point(model, lam: float) -> float:
 
     F' is strictly decreasing on the bracket (positive at 0+, negative at the
     right endpoint); absence of a sign change means lam is outside the regime
-    the truncated series can resolve and raises RegimeError.  The iteration
+    the truncated series can resolve and raises RegimeError.  A non-finite F'
+    at an end (lam^2 y^n overflows, far past that regime) raises
+    OverflowError: floats, not the truncation, are what fails there.  The iteration
     starts from circular's closed-form critical point divided by sqrt(v):
     exact for circular, and the limit 1/sqrt(3v) as lam -> 1 for every model.
     Each F' value moves one end of the bracket to the point by its sign; a
@@ -128,6 +130,8 @@ def find_critical_point(model, lam: float) -> float:
     lo = 1e-9 * hi
     # called through the module global, so a tracer or a test can count F' calls
     f_lo, f_hi = rescaled_series_derivative(model, lam, lo), rescaled_series_derivative(model, lam, hi)
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        raise OverflowError(f"F' endpoint values ({f_lo:g}, {f_hi:g}) are not finite")
     if f_lo <= 0 or f_hi >= 0:
         raise RegimeError(
             f"F' endpoint signs ({f_lo:g}, {f_hi:g}) admit no bracketed root; "

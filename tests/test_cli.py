@@ -222,7 +222,24 @@ class TestMomentsCommand:
             capsys, "moments", "--route", "all", "--lambda", "3/2", "--k", "400",
         )
         assert code == 2 and out == ""
-        assert f"psd route bound is k <= {psd.PROFILE_K_BOUND}" in err
+        assert f"psd route bound is k <= {psd.PSD_MOMENTS_K_BOUND}" in err
+
+    def test_psd_route_at_its_own_bound(self, capsys):
+        k = psd.PSD_MOMENTS_K_BOUND
+        assert k > psd.PROFILE_K_BOUND
+        code, out, _ = run_cli(
+            capsys, "moments", "--model", "two-atom", "--route", "all", "--lambda", "3/2",
+            "--k", str(k),
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "exact-route discrepancy: 0"
+        assert len(out.splitlines()) == k + 3
+        code, out, err = run_cli(
+            capsys, "moments", "--model", "two-atom", "--route", "psd", "--lambda", "3/2",
+            "--k", str(k + 1),
+        )
+        assert code == 2 and out == ""
+        assert f"psd route bound is k <= {k}" in err
 
     def test_float_columns_are_the_fraction_api_floats(self, capsys):
         rng = random.Random(27)
@@ -346,6 +363,13 @@ class TestFloatRange:
         assert (code, out) == (2, "")
         assert f"floating-point {route} route cannot resolve lambda = {lam}" in err
 
+    def test_overflowing_fprime_is_not_blamed_on_truncation(self, capsys):
+        code, out, err = run_cli(capsys, "norm", "--model", "two-atom", "--lambda-start", "1e100",
+                                 "--lambda-end", "1e150", "--steps", "2")
+        assert (code, out) == (2, "")
+        assert "floating-point norm route cannot resolve lambda = 1e+100: a float overflows" in err
+        assert "truncation" not in err
+
     def test_exact_routes_keep_working(self, capsys):
         code, out, _ = run_cli(capsys, "moments", "--lambda", "1e400", "--k", "2", "--route", "lagrange")
         assert code == 0
@@ -444,7 +468,9 @@ class TestCountCommand:
         ("moments", "--route", "psd", "--lambda", "3/2"),
     ])
     def test_psd_above_the_profile_bound(self, capsys, command):
-        code, out, err = run_cli(capsys, *command, "--k", str(psd.PROFILE_K_BOUND + 1))
+        # the moments route reads no profiles and has its own, higher bound
+        bound = psd.PSD_MOMENTS_K_BOUND if command[0] == "moments" else psd.PROFILE_K_BOUND
+        code, out, err = run_cli(capsys, *command, "--k", str(bound + 1))
         assert code == 2
         assert "bound" in err and out == ""
 
