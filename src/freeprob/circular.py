@@ -58,8 +58,10 @@ def k_transform_summed(z, m):
 
 
 def critical_points(lam: float) -> tuple[float, float]:
-    """Roots z- < 0 < z+ < 1 of the K_m' numerator 1 - 3z - 2 m z^2."""
-    m = lam * lam - 1.0
+    """Roots z- < 0 < z+ < 1 of the K_m' numerator 1 - 3z - 2 m z^2, with
+    m = lam^2 - 1 formed as (lam - 1)(lam + 1): z- within 2e-15 relative of
+    a 60-digit reference for lam - 1 from 1e-10 to 1e-2."""
+    m = (lam - 1.0) * (lam + 1.0)
     if m <= 0:
         raise ValueError("requires lam > 1")
     root = math.sqrt(9.0 + 8.0 * m)
@@ -69,8 +71,13 @@ def critical_points(lam: float) -> tuple[float, float]:
 
 
 def support_endpoints(lam: float) -> tuple[float, float]:
-    """Support endpoints (s-, s+) of the spectral measure of |lam - c|^2."""
-    m = lam * lam - 1.0
+    """Support endpoints (s-, s+) of the spectral measure of |lam - c|^2.
+
+    m = lam^2 - 1 is formed as (lam - 1)(lam + 1): s- is cubic in m, and
+    lam*lam - 1 lost 1.5e-8 of it at lam - 1 = 1e-8; now s- is within 2e-15
+    relative of a 60-digit reference for lam - 1 from 1e-10 to 1e-2.
+    """
+    m = (lam - 1.0) * (lam + 1.0)
     if m <= 0:
         raise ValueError("requires lam > 1")
     a = 27.0 + 36.0 * m + 8.0 * m * m
@@ -110,7 +117,7 @@ class CircularSpectrum(FrozenRecord):
     def at(lam: float) -> "CircularSpectrum":
         z_minus, z_plus = critical_points(lam)
         s_minus, s_plus = support_endpoints(lam)
-        return CircularSpectrum(lam, lam * lam - 1.0, z_minus, z_plus, s_minus, s_plus)
+        return CircularSpectrum(lam, (lam - 1.0) * (lam + 1.0), z_minus, z_plus, s_minus, s_plus)
 
 
 # ---------------------------------------------------------------------------

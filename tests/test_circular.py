@@ -47,6 +47,22 @@ class TestSupportEndpoints:
         assert sm == pytest.approx((71 - 17**1.5) / 16, rel=1e-13)
         assert sp == pytest.approx((71 + 17**1.5) / 16, rel=1e-13)
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_lower_edge_next_to_one(self, eps):
+        # lam^2 - 1 formed as lam*lam - 1 lost 1.5e-8 of s- at eps = 1e-8
+        lam = 1.0 + eps
+        s_minus, _ = ci.support_endpoints(lam)
+        z_minus, _ = ci.critical_points(lam)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            m = Decimal(lam) ** 2 - 1
+            b = 9 + 8 * m
+            ref_s = 8 * m**3 / (27 + 36 * m + 8 * m * m + b * b.sqrt())
+            ref_z = (-3 - b.sqrt()) / (4 * m)
+            assert abs(Decimal(s_minus) / ref_s - 1) < Decimal("2e-15")
+            assert abs(Decimal(z_minus) / ref_z - 1) < Decimal("2e-15")
+        assert ci.CircularSpectrum.at(lam).m == (lam - 1.0) * (lam + 1.0)
+
     def test_rejects_lambda_at_most_one(self):
         with pytest.raises(ValueError):
             ci.support_endpoints(1.0)
