@@ -246,7 +246,7 @@ def cmd_norm(args) -> int:
         lam = start + (end - start) * i / (steps - 1)
         try:
             res = rv.resolvent_norm(model, lam)
-        except ArithmeticError as exc:
+        except OverflowError as exc:
             raise _unresolved("norm", _fmt(lam), exc) from None
         if not math.isfinite(res.norm + res.asymptotic + res.ratio):
             raise _unresolved("norm", _fmt(lam), "a value is not finite")

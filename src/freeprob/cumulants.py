@@ -1,7 +1,8 @@
 """Free cumulant calculus for R-diagonal operators.
 
 Provides the moment <-> cumulant conversions of a single variable, by the
-first-block identity rather than a sum over NC(n), and ``OperatorModel``: an
+first-block identity rather than a sum over NC(n) (``cumulant_stream`` runs
+it on an endless moment stream), and ``OperatorModel``: an
 R-diagonal operator given by its determining cumulants alpha.  The partition
 sums (cumulants with products as arguments, R-diagonal word moments, the
 cumulants of |lam - c|^2 by word expansion) are the oracles in

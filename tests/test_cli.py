@@ -224,6 +224,14 @@ class TestMomentsCommand:
         assert code == 2 and out == ""
         assert f"psd route bound is k <= {psd.PSD_MOMENTS_K_BOUND}" in err
 
+    def test_atomic_builtin_past_its_stored_alpha(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", "--model", "two-atom", "--route", "lagrange",
+                               "--lambda", "3/2", "--k", "100")
+        assert code == 0
+        rows = out.splitlines()
+        assert len(rows) == 102 and rows[-1].startswith("100\tm_-202\t")
+        assert all(0 < float(row.split("\t")[2]) < math.inf for row in rows[1:])
+
     def test_psd_route_at_its_own_bound(self, capsys):
         k = psd.PSD_MOMENTS_K_BOUND
         assert k > psd.PROFILE_K_BOUND

@@ -130,6 +130,42 @@ class TestBuiltinModels:
             models.builtin_model("bogus")
 
 
+class TestEndlessAlpha:
+    """The builtins' alpha_n past the stored prefix, against routes that share
+    no code with their graded cumulant stream."""
+
+    def test_haar_signed_catalans_to_200(self):
+        haar = models.haar_model()
+        want = [(-1) ** (n - 1) * nc.catalan(n - 1) for n in range(1, 201)]
+        assert [haar.alpha_at(n) for n in range(1, 201)] == want
+
+    def test_two_atom_solves_its_algebraic_equation(self):
+        # u = 1 + w with w = sum alpha_n t^n solves sum_i w_i u / (u^2 - x_i t) = 1;
+        # for the atoms 0 and 2 of weight 1/2, cleared, w = t + 2tw - 2w^2 - w^3,
+        # whose t^n coefficient reads only lower ones (w2 holds those of w^2)
+        n_max = 60
+        w, w2 = [0] * (n_max + 1), [0] * (n_max + 1)
+        for n in range(1, n_max + 1):
+            w2[n] = sum(w[i] * w[n - i] for i in range(1, n))
+            w3 = sum(w[i] * w2[n - i] for i in range(1, n))
+            w[n] = (n == 1) + 2 * w[n - 1] - 2 * w2[n] - w3
+        two_atom = models.two_atom_model()
+        assert [two_atom.alpha_at(n) for n in range(1, n_max + 1)] == w[1:]
+
+    @pytest.mark.parametrize("atoms", [
+        [(Fraction(5, 16), Fraction(1, 4)), (Fraction(27, 16), Fraction(1, 4)),
+         (Fraction(3, 4), Fraction(1, 4)), (Fraction(5, 4), Fraction(1, 4))],
+        # a weight denominator that no atom denominator carries
+        [(Fraction(1, 3), Fraction(1, 3)), (Fraction(4, 3), Fraction(2, 3))],
+    ], ids=["dyadic", "thirds"])
+    def test_graded_stream_equals_the_fraction_transform(self, atoms):
+        model = models._AtomicModel("atoms", atoms)
+        assert model._d > 1
+        moments = [sum(w * x**n for x, w in atoms) for n in range(1, 41)]
+        assert [model.alpha_at(n) for n in range(1, 41)] == cu.alpha_from_aa_star_moments(moments)
+        assert model.alpha == tuple(model.alpha_at(n) for n in range(1, models.STORED_ORDER + 1))
+
+
 class TestModelSpecJson:
     def test_builtin_passthrough(self):
         model = models.model_from_spec({"builtin": "haar"})
