@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import cumulants as cu
 from . import measures as me
 
-STORED_ORDER = 8  # alpha_1..alpha_8 stored by an atomic builtin: the truncated float norm reads them
+STORED_ORDER = 8  # alpha_1..alpha_8, stored by an atomic builtin for the truncated float norm
 
 BUILTIN_NAMES = ("circular", "haar", "two-atom")
 

@@ -105,9 +105,10 @@ def find_critical_point(model, lam: float) -> float:
     right endpoint); absence of a sign change means lam is outside the regime
     the truncated series can resolve and raises RegimeError.  A non-finite F'
     at an end (lam^2 y^n overflows, far past that regime) raises
-    OverflowError: floats, not the truncation, are what fails there.  The iteration
-    starts from circular's closed-form critical point divided by sqrt(v):
-    exact for circular, and the limit 1/sqrt(3v) as lam -> 1 for every model.
+    OverflowError: floats, not the truncation, are what fails there.  The
+    iteration starts from circular's closed-form critical point divided by
+    sqrt(v): exact for circular, and the limit 1/sqrt(3v) as lam -> 1 for
+    every model.
     Each F' value moves one end of the bracket to the point by its sign; a
     Newton step that leaves the bracket, or is more than half the step before
     it (Newton creeping down a steep polynomial, from a start far right of
