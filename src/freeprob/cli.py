@@ -49,8 +49,9 @@ def _fmt_exact(n: int, d: int) -> str:
     correctly rounded float.  Past it (m_{-2k-2} grows without bound as
     lam -> 1) the text is the exact value correctly rounded to 17 significant
     digits, from integers alone: a lower bound on the decimal exponent from
-    the bit lengths, raised by comparison, then one integer division rounded
-    half to even (``round`` of a Fraction).
+    the bit lengths, raised until the quotient has 17 digits, then one integer
+    division rounded half to even by comparing twice the remainder with the
+    divisor.
     """
     try:
         x = n / d
@@ -58,12 +59,18 @@ def _fmt_exact(n: int, d: int) -> str:
         x = math.inf
     if n == 0 or sys.float_info.min <= abs(x) < math.inf:
         return format(x, ".17g")
-    exact = abs(Fraction(n, d))
-    # 10^(shift + 16) <= exact: the bit lengths bound log10(exact) from below
-    shift = math.floor((n.bit_length() - d.bit_length() - 2) * math.log10(2)) - 16
-    while exact >= Fraction(10) ** (shift + 17):
+    num, den = abs(n), abs(d)
+    # 10^(shift + 16) <= num / den: the bit lengths bound log10(num / den) from below
+    shift = math.floor((num.bit_length() - den.bit_length() - 2) * math.log10(2)) - 16
+    while True:
+        top, bottom = (num, den * 10**shift) if shift >= 0 else (num * 10**-shift, den)
+        quotient, rest = divmod(top, bottom)
+        if quotient < 10**17:
+            break
         shift += 1
-    digits = str(round(exact / Fraction(10) ** shift))  # 17 digits, or 10^17 rounded up
+    if 2 * rest > bottom or (2 * rest == bottom and quotient % 2):
+        quotient += 1  # 17 digits, or 10^17 rounded up
+    digits = str(quotient)
     sign = "-" if (n < 0) != (d < 0) else ""
     mantissa = (digits[0] + "." + digits[1:]).rstrip("0").rstrip(".")
     return f"{sign}{mantissa}e{shift + len(digits) - 1:+03d}"

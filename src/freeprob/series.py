@@ -6,8 +6,12 @@ functional inverse is the Cauchy transform near zero; the rescaling keeps
 every coefficient polynomial (no square roots appear for odd series).  The
 inverse is solved for coefficient by coefficient from the polynomial
 equation it satisfies, on lists of coefficients that can be Python ints,
-Fractions, floats or ring.Poly elements.  The truncated ``FormalSeries``,
-Lagrange inversion and the fixed-point iteration stay as its oracles, in
+Fractions, floats or ring.Poly elements.  For circular at rational lam the
+same coefficients come from a proved order-2 linear recurrence instead, in
+O(1) big-integer steps each (``_circular_pairs``); the solve stays the
+engine for every other model and for the float and symbolic forms, and is
+the recurrence's reference in verify.  The truncated ``FormalSeries``,
+Lagrange inversion and the fixed-point iteration stay as oracles, in
 ``freeprob.oracles``.
 """
 
@@ -138,6 +142,8 @@ def negative_moments_lagrange(model, k: int, lam=None):
     come from the polynomial equation g satisfies (``solve_inverse_equation``),
     not by Lagrange inversion; ``oracles.lagrange_invert`` stays as the
     oracle in verify and the tests, and the route keeps the name ``lagrange``.
+    At a rational lam on circular they come from the recurrence of
+    ``_circular_pairs`` instead, in O(k) big-integer steps.
 
     ``lam`` = None gives the symbolic answer: a list of RationalExpr in the
     symbols L (= lam^2), v, a3, a4, ... as supplied by the model; a Fraction
@@ -170,12 +176,15 @@ def _lagrange_pairs(model, k: int, lam) -> list[tuple[int, int]]:
     """Unreduced integer pairs (n_j, d_j) with n_j / d_j = m_{-2j-2}(mu_lam),
     j = 0 .. k, at rational lam; k >= 0.
 
-    With m = lam^2 - 1 = a / b, g_{2j+1} / m^{3j+1} = H_j b^{3j+1} /
+    Circular (``model.r_mu_is_z``) goes by ``_circular_pairs``.  Otherwise,
+    with m = lam^2 - 1 = a / b, g_{2j+1} / m^{3j+1} = H_j b^{3j+1} /
     (C^j a^{3j+1}) (``solve_inverse_equation``), the powers kept running.
     ``Fraction(n, d)`` reduces a pair once; ``n / d`` is the same float as
     ``float(Fraction(n, d))`` (notes/decisions.md), so ``cli`` prints the
     float column without normalising a Fraction.
     """
+    if model.r_mu_is_z:
+        return _circular_pairs(k, Fraction(lam))
     m = Fraction(lam) ** 2 - 1
     kappas = [model.alpha_at(n) for n in range(1, k + 2)]
     scaled, big_c = solve_inverse_equation(kappas, m, k)
@@ -188,6 +197,66 @@ def _lagrange_pairs(model, k: int, lam) -> list[tuple[int, int]]:
         num *= num_step
         den *= den_step
     return out
+
+
+def _circular_recurrence(big_p, big_q) -> tuple[tuple, tuple, tuple]:
+    """(A, B, C), each the coefficients (c_0, c_1, c_2, c_3) of a cubic in n,
+    such that A(n) N_{n+2} = B(n) N_{n+1} - C(n) N_n for n >= 1, where
+    N_n = Q^{3n+1} h_n, h = sum_n h_n t^n solves h = 1 + t h (lam^2 - 1 + h)^2
+    and lam^2 = P / Q.  In L = lam^2 (P = L, Q = 1, N_n = h_n):
+
+        A(n) = 2 (n + 2)(2n + 5)((8L + 1) n + 6L),
+        B(n) = (8L + 1)(8L^2 + 20L - 1) n^3 + 3 (10L + 1)(8L^2 + 20L - 1) n^2
+               + 2 (148L^3 + 357L^2 + 9L - 1) n + 120 L^2 (L + 2),
+        C(n) = 2L (L - 1)^3 n (2n + 1)((8L + 1) n + 14L + 1).
+
+    Made homogeneous in (P, Q), of degrees 1, 3 and 5, they give the
+    recurrence of the integers H_n = Q^{2n} h_n; N_n = Q^{n+1} H_n multiplies
+    B by Q and C by Q^2.  Plain ring operations only, so ring.Poly arguments
+    give the symbolic coefficients; the proof (notes/decisions.md) is an
+    exact identity on them in the tests.
+    """
+    lin = 8 * big_p + big_q
+    quad = big_q * (8 * big_p * big_p + 20 * big_p * big_q - big_q * big_q)
+    c_lead = 2 * big_p * (big_p - big_q) ** 3 * big_q * big_q
+    c_tail = 14 * big_p + big_q
+    lead = (120 * big_p, 20 * lin + 108 * big_p, 18 * lin + 24 * big_p, 4 * lin)
+    mid = (120 * big_p * big_p * (big_p + 2 * big_q) * big_q,
+           2 * (148 * big_p**3 + 357 * big_p * big_p * big_q + 9 * big_p * big_q * big_q - big_q**3) * big_q,
+           3 * (10 * big_p + big_q) * quad,
+           lin * quad)
+    low = (0, c_lead * c_tail, c_lead * (2 * c_tail + lin), 2 * c_lead * lin)
+    return lead, mid, low
+
+
+def _circular_pairs(k: int, lam: Fraction) -> list[tuple[int, int]]:
+    """``_lagrange_pairs`` for circular: (N_j, (P - Q)^{3j+1}) for j = 0 .. k,
+    where lam = p/q, P = p^2, Q = q^2 and N_j = Q^{3j+1} h_j.
+
+    For circular solve_inverse_equation has q = 0 and s = m + h, so
+    m_{-2j-2} = h_j / m^{3j+1} with h = 1 + t h (m + h)^2, and m = (P - Q) / Q
+    makes that N_j / (P - Q)^{3j+1}.  The N_n obey ``_circular_recurrence``
+    from N_1 = P^2 Q^2 and N_2 = P^3 (P + 2Q) Q^3 (h_1 = L^2,
+    h_2 = L^3 (L + 2)), and each step multiplies big integers by small ones
+    only.  A(n) > 0 for n >= 1 and every lam, so each step is one exact
+    integer division: O(1) big-integer operations per moment, where the solve
+    costs O(j).
+    """
+    big_p, big_q = lam.numerator**2, lam.denominator**2
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _circular_recurrence(big_p, big_q)
+    nums = [big_q, (big_p * big_q) ** 2, big_p**3 * (big_p + 2 * big_q) * big_q**3][: k + 1]
+    for n in range(1, k - 1):
+        num, rest = divmod((((b3 * n + b2) * n + b1) * n + b0) * nums[n + 1]
+                           - (((c3 * n + c2) * n + c1) * n + c0) * nums[n],
+                           ((a3 * n + a2) * n + a1) * n + a0)
+        if rest:
+            raise ArithmeticError(f"circular recurrence: N_{n + 2} is not an integer")
+        nums.append(num)
+    a = big_p - big_q
+    a_cubed, dens = a**3, [a]
+    for _ in range(k):
+        dens.append(dens[-1] * a_cubed)
+    return list(zip(nums, dens))
 
 
 def _mu_cumulants_symbols(model, count: int) -> list:

@@ -454,6 +454,14 @@ def _inverse_by_lagrange(model, k, lam=None):
     return oracles.lagrange_invert(oracles.rescaled_inverse_cauchy(kappas, lam_sq, 2 * k + 1)).coeffs[1::2]
 
 
+def _by_inverse_equation(model, k, lam):
+    """m_{-2}, ..., m_{-2k-2} at rational lam from ``solve_inverse_equation``
+    itself, which ``negative_moments_lagrange`` bypasses on circular."""
+    m = Fraction(lam) ** 2 - 1
+    scaled, big_c = se.solve_inverse_equation([model.alpha_at(n) for n in range(1, k + 2)], m, k)
+    return [Fraction(h, big_c**j) / m ** (3 * j + 1) for j, h in enumerate(scaled)]
+
+
 @_register("inverse-equation-vs-lagrange", "combinatorial")
 def _check_inverse_equation():
     circ, two = models.circular_model(), models.two_atom_model()
@@ -472,32 +480,52 @@ def _check_inverse_equation():
             m = lam * lam - 1
             for k in range(0, k_max + 1):
                 oracle = [b / m ** (3 * j + 1) for j, b in enumerate(_inverse_by_lagrange(model, k, lam))]
-                if se.negative_moments_lagrange(model, k, lam=lam) != oracle:
+                if _by_inverse_equation(model, k, lam) != oracle:
                     return _record(False, 1, 0, f"{model.name} k={k} lam={lam}: routes differ")
+                if se.negative_moments_lagrange(model, k, lam=lam) != oracle:
+                    return _record(False, 1, 0, f"{model.name} k={k} lam={lam}: pairs differ")
     for lam in (Fraction(21, 20), Fraction(7, 5), Fraction(3), Fraction(237, 223)):
-        if se.negative_moments_lagrange(circ, 60, lam=lam) != _circular_by_cubic(lam, 60):
+        if _by_inverse_equation(circ, 60, lam) != _circular_by_cubic(lam, 60):
             return _record(False, 1, 0, f"circular k <= 60 lam={lam}: cubic recurrence differs")
     return _record(True, 0.0, 0, "inverse-series equation equals Lagrange inversion exactly: "
                                  "symbolic k <= 3 on circular, two-atom, haar; circular k <= 12, "
                                  "two-atom k <= 7 and an alpha model with denominators 3, 16, 27 "
-                                 "k <= 7 at lam = 21/20, 7/5, 3; and the circular cubic recurrence "
-                                 "for k <= 60 at lam = 21/20, 7/5, 3, 237/223")
+                                 "k <= 7 at lam = 21/20, 7/5, 3, by the solve and by route 1; "
+                                 "and the circular cubic recurrence for k <= 60 at lam = 21/20, "
+                                 "7/5, 3, 237/223")
+
+
+@_register("recurrence-vs-lagrange", "combinatorial")
+def _check_circular_recurrence():
+    circ = models.circular_model()
+    for lam in (Fraction(21, 20), Fraction(7, 5), Fraction(3), Fraction(237, 223)):
+        got = se.negative_moments_lagrange(circ, 200, lam=lam)
+        if got != _by_inverse_equation(circ, 200, lam):
+            return _record(False, 1, 0, f"lam={lam}: recurrence differs from the solve")
+        if got != _circular_by_cubic(lam, 200):
+            return _record(False, 1, 0, f"lam={lam}: recurrence differs from the cubic")
+    return _record(True, 0.0, 0, "circular order-2 recurrence equals solve_inverse_equation and the "
+                                 "Cauchy cubic exactly for k <= 200 at lam = 21/20, 7/5, 3, 237/223")
 
 
 def _circular_by_cubic(lam, k):
     """m_{-2}, ..., m_{-2k-2} of |lam - c|^2 from the circular Cauchy cubic.
 
-    Near w = 0, z = G(w) = -sum_j m_{-2j-2} w^j solves
-    w z^3 - 2 w z^2 + (w - m) z - 1 = 0 (m = lam^2 - 1), so its coefficients
-    c_n obey m c_n = [w^{n-1}] (z^3 - 2 z^2 + z), with c_0 = -1/m.
+    Near w = 0, y = -G(w) = sum_j m_{-2j-2} w^j solves
+    m y = w y^3 + 2 w y^2 + w y + 1 (m = lam^2 - 1), so m y_n = [w^{n-1}]
+    (y^3 + 2 y^2 + y) with y_0 = 1/m.  On graded integers (m = a/b,
+    E_n = b^{2n} m^{3n+1} y_n, notes/decisions.md) that is E_0 = 1 and
+    E_n = b^2 (E^3)_{n-1} + 2ab (E^2)_{n-1} + a^2 E_{n-1}, and
+    m_{-2n-2} = E_n b^{n+1} / a^{3n+1}.
     """
     m = Fraction(lam) ** 2 - 1
-    c, sq, cube = [-1 / m], [], []
+    a, b = m.numerator, m.denominator
+    e, sq, cube = [1], [], []
     for n in range(1, k + 1):
-        sq.append(sum(c[i] * c[n - 1 - i] for i in range(n)))
-        cube.append(sum(c[i] * sq[n - 1 - i] for i in range(n)))
-        c.append((cube[-1] - 2 * sq[-1] + c[-1]) / m)
-    return [-x for x in c]
+        sq.append(sum(e[i] * e[n - 1 - i] for i in range(n)))
+        cube.append(sum(e[i] * sq[n - 1 - i] for i in range(n)))
+        e.append(b * b * cube[-1] + 2 * a * b * sq[-1] + a * a * e[-1])
+    return [Fraction(x * b ** (n + 1), a ** (3 * n + 1)) for n, x in enumerate(e)]
 
 
 def _patterns(k, max_half):

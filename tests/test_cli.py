@@ -39,6 +39,15 @@ def decimal_text(x: Fraction) -> str:
         return format((Decimal(x.numerator) / Decimal(x.denominator)).normalize(), ".17g")
 
 
+def exact_text(x: Fraction) -> str:
+    """The printed text of an exact value: .17g of its float, or past the float
+    range its correctly rounded 17 digits."""
+    try:
+        return format(float(x), ".17g")
+    except OverflowError:
+        return decimal_text(x)
+
+
 class TestDensityCommand:
     def test_csv_shape_and_mass(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -217,12 +226,28 @@ class TestMomentsCommand:
             raise AssertionError("a route ran before the psd bound was checked")
 
         monkeypatch.setattr(se, "solve_inverse_equation", refuse)
+        monkeypatch.setattr(se, "_circular_pairs", refuse)
         monkeypatch.setattr(ci, "density", refuse)
         code, out, err = run_cli(
             capsys, "moments", "--route", "all", "--lambda", "3/2", "--k", "400",
         )
         assert code == 2 and out == ""
         assert f"psd route bound is k <= {psd.PSD_MOMENTS_K_BOUND}" in err
+
+    def test_circular_route_1_runs_the_recurrence(self, capsys, monkeypatch):
+        from freeprob import verify
+
+        want = verify._by_inverse_equation(models.circular_model(), 200, Fraction(237, 223))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the convolution solve ran on circular")
+
+        monkeypatch.setattr(se, "solve_inverse_equation", refuse)
+        code, out, err = run_cli(capsys, "moments", "--model", "circular", "--route", "lagrange",
+                                 "--k", "200", "--lambda", "237/223")
+        assert code == 0 and err == ""
+        assert [row.split("\t")[2] for row in out.strip().splitlines()[1:]] == list(map(exact_text, want))
+        assert want[-1] > sys.float_info.max  # the last rows are past the float range
 
     def test_atomic_builtin_past_its_stored_alpha(self, capsys):
         code, out, _ = run_cli(capsys, "moments", "--model", "two-atom", "--route", "lagrange",
@@ -291,15 +316,8 @@ class TestMomentsCommand:
         code, out, err = run_cli(capsys, "moments", "--route", route, "--lambda", lam, "--k", str(k))
         assert code == 0 and err == ""
         lam = Fraction(lam)
-        want = []
-        for j, x in enumerate(se.negative_moments_lagrange(models.circular_model(), k, lam=lam)):
-            row = []
-            for value in (x, se.asymptotic_negative_moment(1, j, lam)):
-                try:
-                    row.append(format(float(value), ".17g"))
-                except OverflowError:
-                    row.append(decimal_text(value))
-            want.append(row)
+        want = [[exact_text(x), exact_text(se.asymptotic_negative_moment(1, j, lam))]
+                for j, x in enumerate(se.negative_moments_lagrange(models.circular_model(), k, lam=lam))]
         assert [row.split("\t")[2:] for row in out.strip().splitlines()[1:]] == want
         assert float(want[-1][0]) == math.inf  # the last rows are past the float range
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freeprob import models
 from freeprob import noncrossing as nc
 from freeprob import oracles
 from freeprob import series as se
+from freeprob import verify
 from freeprob.ring import Poly
 
 L = Poly.var("L")  # lam^2
@@ -192,6 +194,73 @@ class TestNegativeMoments:
 
     def test_coefficient_convergence(self, registry_record):
         registry_record("negative-moment-asymptotics")
+
+
+def _in_powers_of(p: Poly, name: str) -> list[Poly]:
+    """The coefficients of p as a polynomial in ``name``, lowest first."""
+    out = [Poly() for _ in range(p.degree(name) + 1)]
+    for mono, coeff in p.terms.items():
+        e = dict(mono).get(name, 0)
+        out[e] = out[e] + Poly({tuple((x, f) for x, f in mono if x != name): coeff})
+    return out
+
+
+def _d_du(p: Poly) -> Poly:
+    """d/du of a polynomial in u (and other symbols)."""
+    return sum((e * c * Poly.var("u", e - 1) for e, c in enumerate(_in_powers_of(p, "u")) if e), Poly())
+
+
+class TestCircularRecurrence:
+    """Route 1 on circular at rational lam: the order-2 recurrence of
+    ``series._circular_pairs``, proved, and held to the convolution solve."""
+
+    def test_recurrence_is_an_identity(self):
+        """The proof (notes/decisions.md).  h = 1 + u, where u = t (1 + u)(L + u)^2,
+        so t = u / V with V = (1 + u)(L + u)^2 is rational in u, and
+        theta = t d/dt = (t / (dt/du)) d/du = (u (1 + u)(L + u) / W) d/du with
+        W = L - u - 2u^2.  Hence theta^j h = Y_j / W^(2j) with polynomial Y_j.
+        [t^(n+2)] of D h, D = A(theta - 2) - t B(theta - 1) + t^2 C(theta), is
+        A(n) h_{n+2} - B(n) h_{n+1} + C(n) h_n.  Below, D h equals E(t), the
+        part of degree <= 2 that the seeds h_0 = 1, h_1 = L^2, h_2 = L^3 (L + 2)
+        give, as an identity of polynomials in u and L (W(0) = L, so the
+        substitution u = u(t) is valid over Q(L)); so the recurrence holds for
+        every n >= 1, and E pins the seeds h_1 and h_2 (A(-1), A(0) != 0)."""
+        u, n = Poly.var("u"), Poly.var("n")
+        lead, mid, low = (sum((Poly.coerce(c) * n**i for i, c in enumerate(cs)), Poly())
+                          for cs in se._circular_recurrence(L, 1))
+        big_v = (1 + u) * (L + u) ** 2
+        w = L - u - 2 * u * u
+        lift = u * (1 + u) * (L + u)  # (t / (dt/du)) W
+        assert lift * (big_v - u * _d_du(big_v)) == u * big_v * w  # t / t' = lift / W
+        numer = [1 + u]  # theta^j h = numer[j] / w^(2j)
+        for j in range(3):
+            numer.append(lift * (_d_du(numer[j]) * w - 2 * j * numer[j] * _d_du(w)))
+        operator = zip(_in_powers_of(lead.subs({"n": n - 2}), "n"),
+                       _in_powers_of(mid.subs({"n": n - 1}), "n"),
+                       _in_powers_of(low, "n"))
+        d_h = sum(((a * big_v * big_v - b * u * big_v + c * u * u) * numer[j] * w ** (6 - 2 * j)
+                   for j, (a, b, c) in enumerate(operator)), Poly())
+
+        def at(p, x):
+            return p.subs({"n": Poly.const(x)})
+
+        h = (Poly.const(1), L**2, L**3 * (L + 2))
+        e = (at(lead, -2) * h[0],
+             at(lead, -1) * h[1] - at(mid, -1) * h[0],
+             at(lead, 0) * h[2] - at(mid, 0) * h[1] + at(low, 0) * h[0])
+        assert d_h == (e[0] * big_v * big_v + e[1] * u * big_v + e[2] * u * u) * w**6
+        assert not at(lead, -1).is_zero() and not at(lead, 0).is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10**6).flatmap(lambda q: st.tuples(st.integers(q + 1, 5 * q), st.just(q))),
+           st.integers(0, 80))
+    @example((237, 223), 80)
+    @example((10**6 + 1, 10**6), 80)  # lam - 1 = 1e-6
+    def test_pairs_reduce_to_the_solve(self, pq, k):
+        lam = Fraction(*pq)
+        circ = models.circular_model()
+        pairs = se._lagrange_pairs(circ, k, lam)
+        assert [Fraction(n, d) for n, d in pairs] == verify._by_inverse_equation(circ, k, lam)
 
 
 class TestIntegerPairFloats:
